@@ -45,7 +45,7 @@ for i in range(9):
 print("\nstandard loss:  uniform =", round(standard_loss(uniform, solution), 6),
       "(= ln 9 =", round(math.log(9), 6), "), truth =",
       standard_loss(truth, solution))
-print("expert loss:    uniform =", expert_loss(uniform, solution),
+print("expert loss:    uniform =", expert_loss(uniform),
       "(degenerate: every unit expectation already sums to 45)")
 print("constraints:    truth, solution-consistent =",
       constraints_loss(truth, inst.mask, inst.puzzle, "solution-consistent"))

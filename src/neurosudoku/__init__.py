@@ -11,7 +11,6 @@ from .grids import (
     is_valid_complete,
     masked_cell_count,
     parse_grid,
-    subgrid_index,
 )
 from .engine import (
     SolveOutcome,

@@ -102,10 +102,21 @@ def _parse_puzzle_arg(text: str):
         raise SystemExit(2)
 
 
+def _difficulty(value) -> float:
+    """A difficulty in (0, 1); ValueError otherwise."""
+    difficulty = float(value)
+    if not 0.0 < difficulty < 1.0:
+        raise ValueError(f"difficulty must be in (0,1), got {value}")
+    return difficulty
+
+
 def cmd_gen(args, config: dict) -> int:
     seed = int(_merged(args, config, "seed", 0))
     n = int(_merged(args, config, "n_puzzles", 12))
-    difficulty = float(_merged(args, config, "difficulty", 0.1))
+    try:
+        difficulty = _difficulty(_merged(args, config, "difficulty", 0.1))
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     out_path = args.data_out or os.path.join(args.out, "dataset.jsonl")
     dataset = training.build_dataset(n, difficulty, seed)
     try:
@@ -157,15 +168,21 @@ def cmd_eval(args, config: dict) -> int:
 
 
 def _parse_rows(text: str):
+    """Parse ``n:difficulty,...``; ValueError on a malformed cell."""
     rows = []
     for part in text.split(","):
-        n, d = part.split(":")
-        rows.append((int(n), float(d)))
+        n, sep, d = part.partition(":")
+        if not sep:
+            raise ValueError(f"row {part!r} is not of the form n:difficulty")
+        rows.append((int(n), _difficulty(d)))
     return rows
 
 
 def cmd_table1(args, config: dict) -> int:
-    rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
+    try:
+        rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
+    except ValueError as exc:
+        return _fail(f"bad --rows: {exc}", 2)
     if args.profile == "quick":
         rows = [(n, d) for n, d in rows if n <= 12]
     ablations = args.ablations.split(",") if args.ablations else list(ABLATIONS)
@@ -338,15 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-out", default=None, help="dataset path (default OUT/dataset.jsonl)")
     p.set_defaults(func=cmd_gen)
 
-    def add_train_flags(q):
+    def add_run_flags(q):
         q.add_argument("--epochs", type=int, default=None)
         q.add_argument("--folds", type=int, default=None)
         q.add_argument("--lr", type=float, default=None)
+        q.add_argument("--constraint-mode", choices=CONSTRAINT_MODES, default=None)
+
+    def add_train_flags(q):
+        add_run_flags(q)
         q.add_argument("--ablation", choices=ABLATIONS, default=None)
         q.add_argument("--alpha", type=float, default=None)
         q.add_argument("--beta", type=float, default=None)
         q.add_argument("--gamma", type=float, default=None)
-        q.add_argument("--constraint-mode", choices=CONSTRAINT_MODES, default=None)
         q.add_argument("--postprocess-mode", choices=training.POSTPROCESS_MODES, default=None)
 
     p = subcommand("train", help="train a model on a dataset, save a checkpoint")
@@ -367,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablations", default=None, help="comma list of ablation labels")
     p.add_argument("--seeds", default=None, help="comma list of base seeds (default 0,1,2)")
     p.add_argument("--chart-style", choices=("bars", "lines"), default="bars")
-    add_train_flags(p)
+    add_run_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = subcommand("solve", help="solve a puzzle with a trained model")

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (
+    CELL_UNITS,
     GRID_SIZE,
     N_CELLS,
+    UNITS,
     PuzzleInstance,
     as_grid,
     masked_cell_count,
@@ -47,29 +49,11 @@ class BridgeProtocolError(RuntimeError):
     """The external solver produced output the bridge cannot interpret."""
 
 
-def _build_peer_tables():
-    units = []
-    for i in range(GRID_SIZE):
-        units.append(tuple(i * GRID_SIZE + j for j in range(GRID_SIZE)))
-    for j in range(GRID_SIZE):
-        units.append(tuple(i * GRID_SIZE + j for i in range(GRID_SIZE)))
-    for box in range(GRID_SIZE):
-        br, bc = 3 * (box // 3), 3 * (box % 3)
-        units.append(
-            tuple((br + di) * GRID_SIZE + bc + dj for di in range(3) for dj in range(3))
-        )
-    peers = []
-    for idx in range(N_CELLS):
-        ps = set()
-        for unit in units:
-            if idx in unit:
-                ps.update(unit)
-        ps.discard(idx)
-        peers.append(tuple(sorted(ps)))
-    return tuple(units), tuple(peers)
-
-
-UNITS, PEERS = _build_peer_tables()
+# Peers of each cell: every other cell sharing a unit with it, ascending.
+PEERS = tuple(
+    tuple(sorted(set(UNITS[CELL_UNITS[cell]].ravel().tolist()) - {cell}))
+    for cell in range(N_CELLS)
+)
 
 
 @dataclass

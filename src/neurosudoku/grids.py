@@ -16,6 +16,25 @@ GRID_SIZE = 9
 BOX_SIZE = 3
 N_CELLS = GRID_SIZE * GRID_SIZE
 
+DIGITS = np.arange(1, GRID_SIZE + 1)
+
+# The 27 units as flat cell indices: 9 rows, then 9 columns, then 9 boxes
+# (boxes and the cells inside each box in row-major order).
+_CELLS = np.arange(N_CELLS).reshape(GRID_SIZE, GRID_SIZE)
+UNITS = np.concatenate([
+    _CELLS,
+    _CELLS.T,
+    _CELLS.reshape(BOX_SIZE, BOX_SIZE, BOX_SIZE, BOX_SIZE)
+    .transpose(0, 2, 1, 3)
+    .reshape(GRID_SIZE, GRID_SIZE),
+])
+# Unit-cell incidence (27, 81): INCIDENCE @ x sums a per-cell quantity over
+# each unit, INCIDENCE.T @ y spreads a per-unit quantity back to its cells.
+INCIDENCE = np.zeros((len(UNITS), N_CELLS))
+INCIDENCE[np.arange(len(UNITS))[:, None], UNITS] = 1.0
+# The three units of each cell (81, 3): its row, its column, its box.
+CELL_UNITS = np.nonzero(INCIDENCE.T)[1].reshape(N_CELLS, 3)
+
 SCOPE_ALL = "all-cells"
 SCOPE_EMPTY = "empty-cells"
 
@@ -33,46 +52,16 @@ def as_grid(cells) -> np.ndarray:
     return grid
 
 
-def subgrid_index(row: int, col: int) -> int:
-    """Index (0..8) of the 3x3 box containing (row, col).
-
-    Cells with equal index form one box; boxes are numbered row-major,
-    top-left box = 0, center = 4, bottom-right = 8.
-    """
-    if not (0 <= row < GRID_SIZE and 0 <= col < GRID_SIZE):
-        raise ValueError(f"cell index out of range: ({row}, {col})")
-    return (row // BOX_SIZE) * BOX_SIZE + col // BOX_SIZE
-
-
-def _units(grid: np.ndarray):
-    """Yield the 27 units (9 rows, 9 columns, 9 boxes) as 9-element arrays."""
-    for i in range(GRID_SIZE):
-        yield grid[i, :]
-    for j in range(GRID_SIZE):
-        yield grid[:, j]
-    boxes = grid.reshape(BOX_SIZE, BOX_SIZE, BOX_SIZE, BOX_SIZE)
-    for bi in range(BOX_SIZE):
-        for bj in range(BOX_SIZE):
-            yield boxes[bi, :, bj, :].reshape(-1)
-
-
 def is_valid_complete(grid) -> bool:
     """True iff the grid has no empties and every unit is a permutation of 1..9."""
-    grid = as_grid(grid)
-    if (grid == 0).any():
-        return False
-    full = frozenset(range(1, 10))
-    return all(set(unit.tolist()) == full for unit in _units(grid))
+    units = np.sort(as_grid(grid).reshape(-1)[UNITS], axis=1)
+    return bool((units == DIGITS).all())
 
 
 def is_consistent_partial(grid) -> bool:
     """True iff no unit contains a duplicate among its nonzero cells."""
-    grid = as_grid(grid)
-    for unit in _units(grid):
-        placed = unit[unit != 0]
-        if len(np.unique(placed)) != len(placed):
-            return False
-    return True
+    units = np.sort(as_grid(grid).reshape(-1)[UNITS], axis=1)
+    return not ((units[:, 1:] == units[:, :-1]) & (units[:, 1:] != 0)).any()
 
 
 def cell_accuracy(predicted, truth, mask, scope: str = SCOPE_ALL) -> float:

@@ -10,8 +10,8 @@ Three components, each differentiable in the predicted probabilities:
   the penalty agrees with the exact counting rule whenever the prediction
   is one-hot.
 * expert: per-cell expected digit value (sum of digit * probability), then
-  the absolute gap between predicted and true unit sums for all 27 units.
-  Every unit of a valid solution sums to 45.
+  the absolute gap between each of the 27 predicted unit sums and 45, the
+  sum of every unit of a valid solution.
 
 Constraint target modes:
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GRID_SIZE, N_CELLS, PuzzleInstance, as_grid
+from .grids import DIGITS, GRID_SIZE, INCIDENCE, N_CELLS, UNITS, PuzzleInstance, as_grid
 
 PROB_CLAMP = 1e-12
 
@@ -46,11 +46,8 @@ ABLATION_WEIGHTS = {
 }
 ABLATIONS = tuple(ABLATION_WEIGHTS)
 
-# box index of each cell, row-major boxes
-_BOX_OF = np.array(
-    [[(i // 3) * 3 + j // 3 for j in range(GRID_SIZE)] for i in range(GRID_SIZE)]
-)
-_DIGITS = np.arange(1, GRID_SIZE + 1, dtype=np.float64)
+_DIGITS = DIGITS.astype(np.float64)
+_UNIT_SUM = float(DIGITS.sum())  # 45
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,7 @@ def _true_cell_probs(pred: np.ndarray, target: np.ndarray):
 
 def standard_loss(pred: np.ndarray, target) -> float:
     """Mean over the 81 cells of -log(probability of the true digit)."""
-    target = as_grid(target)
-    _, _, p_true = _true_cell_probs(pred, target)
-    return float(-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / N_CELLS)
+    return standard_loss_grad(pred, target)[0]
 
 
 def standard_loss_grad(pred: np.ndarray, target):
@@ -163,105 +158,44 @@ def standard_loss_grad(pred: np.ndarray, target):
     return loss, d_pred
 
 
-def _unit_sums(arr3d: np.ndarray):
-    """Sum a (9,9,k) array over each row, column, and box: three (9,k) arrays."""
-    by_row = arr3d.sum(axis=1)
-    by_col = arr3d.sum(axis=0)
-    k = arr3d.shape[2]
-    by_box = arr3d.reshape(3, 3, 3, 3, k).sum(axis=(1, 3)).reshape(GRID_SIZE, k)
-    return by_row, by_col, by_box
-
-
-def constraint_targets(givens, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(unit, digit) target counts for the constraint penalty."""
+def constraint_targets(givens, mode: str) -> np.ndarray:
+    """Per-(unit, digit) target counts (27, 9) for the constraint penalty."""
     if mode == MODE_FIXED_TARGET:
-        ones = np.ones((GRID_SIZE, GRID_SIZE))
-        return ones, ones.copy(), ones.copy()
+        return np.ones((len(UNITS), GRID_SIZE))
     if mode == MODE_SOLUTION_CONSISTENT:
-        givens = as_grid(givens)
-        onehot = (givens[:, :, None] == np.arange(1, 10)).astype(np.float64)
-        g_row, g_col, g_box = _unit_sums(onehot)
-        return (
-            np.maximum(0.0, 1.0 - g_row),
-            np.maximum(0.0, 1.0 - g_col),
-            np.maximum(0.0, 1.0 - g_box),
-        )
+        onehot = (as_grid(givens).reshape(N_CELLS, 1) == DIGITS).astype(np.float64)
+        return np.maximum(0.0, 1.0 - INCIDENCE @ onehot)
     raise ValueError(f"unknown constraint mode: {mode!r}")
 
 
 def constraints_loss(pred: np.ndarray, mask, givens, mode: str = MODE_SOLUTION_CONSISTENT) -> float:
     """Squared target-count gaps of per-unit digit mass over empty cells."""
-    mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
-    masked_pred = pred * mask[:, :, None]
-    s_row, s_col, s_box = _unit_sums(masked_pred)
-    t_row, t_col, t_box = constraint_targets(givens, mode)
-    return float(
-        ((t_row - s_row) ** 2).sum()
-        + ((t_col - s_col) ** 2).sum()
-        + ((t_box - s_box) ** 2).sum()
-    )
+    return constraints_loss_grad(pred, mask, givens, mode)[0]
 
 
 def constraints_loss_grad(pred: np.ndarray, mask, givens, mode: str = MODE_SOLUTION_CONSISTENT):
-    mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
-    m = mask.astype(np.float64)
-    masked_pred = pred * m[:, :, None]
-    s_row, s_col, s_box = _unit_sums(masked_pred)
-    t_row, t_col, t_box = constraint_targets(givens, mode)
-    r_row = t_row - s_row
-    r_col = t_col - s_col
-    r_box = t_box - s_box
-    loss = float((r_row ** 2).sum() + (r_col ** 2).sum() + (r_box ** 2).sum())
-    residual_at_cell = (
-        r_row[:, None, :] + r_col[None, :, :] + r_box[_BOX_OF, :]
-    )
-    d_pred = -2.0 * residual_at_cell * m[:, :, None]
-    return loss, d_pred
+    m = np.asarray(mask, dtype=np.float64).reshape(N_CELLS, 1)
+    mass = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) * m)  # (27, 9) per unit and digit
+    residual = constraint_targets(givens, mode) - mass
+    d_pred = -2.0 * (INCIDENCE.T @ residual) * m
+    return float((residual ** 2).sum()), d_pred.reshape(pred.shape)
 
 
-def expert_loss(pred: np.ndarray, target) -> float:
-    """Absolute gaps between predicted and true unit sums of cell values."""
-    target = as_grid(target).astype(np.float64)
-    expected = pred @ _DIGITS
-    e_row, e_col, e_box = _unit_sums(expected[:, :, None])
-    t_row, t_col, t_box = _unit_sums(target[:, :, None])
-    return float(
-        np.abs(e_row - t_row).sum()
-        + np.abs(e_col - t_col).sum()
-        + np.abs(e_box - t_box).sum()
-    )
+def expert_loss(pred: np.ndarray) -> float:
+    """Absolute gaps between predicted unit sums of cell values and 45, the
+    sum of every unit of a valid grid."""
+    return expert_loss_grad(pred)[0]
 
 
-def expert_loss_grad(pred: np.ndarray, target):
-    target = as_grid(target).astype(np.float64)
-    expected = pred @ _DIGITS  # (9,9) expected digit value per cell
-    e_row, e_col, e_box = (u.reshape(GRID_SIZE) for u in _unit_sums(expected[:, :, None]))
-    t_row, t_col, t_box = (u.reshape(GRID_SIZE) for u in _unit_sums(target[:, :, None]))
-    d_row = e_row - t_row
-    d_col = e_col - t_col
-    d_box = e_box - t_box
-    loss = float(np.abs(d_row).sum() + np.abs(d_col).sum() + np.abs(d_box).sum())
-    sign_at_cell = (
-        np.sign(d_row)[:, None] + np.sign(d_col)[None, :] + np.sign(d_box)[_BOX_OF]
-    )
-    d_pred = sign_at_cell[:, :, None] * _DIGITS[None, None, :]
-    return loss, d_pred
+def expert_loss_grad(pred: np.ndarray):
+    gap = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) @ _DIGITS) - _UNIT_SUM
+    d_pred = np.multiply.outer(INCIDENCE.T @ np.sign(gap), _DIGITS)
+    return float(np.abs(gap).sum()), d_pred.reshape(pred.shape)
 
 
 def combined_loss(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig) -> LossBreakdown:
     """Weighted sum of the active components; zero-weight ones report 0."""
-    w = config.weights
-    std = cons = exp_ = 0.0
-    if w.alpha != 0.0:
-        std = standard_loss(pred, instance.solution)
-    if w.beta != 0.0:
-        cons = constraints_loss(
-            pred, instance.mask, instance.puzzle, config.constraint_mode
-        )
-    if w.gamma != 0.0:
-        exp_ = expert_loss(pred, instance.solution)
-    combined = w.alpha * std + w.beta * cons + w.gamma * exp_
-    return LossBreakdown(std, cons, exp_, combined)
+    return combined_loss_grad(pred, instance, config)[0]
 
 
 def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig):
@@ -281,7 +215,7 @@ def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossC
         )
         d_pred += w.beta * d_cons
     if w.gamma != 0.0:
-        exp_, d_exp = expert_loss_grad(pred, instance.solution)
+        exp_, d_exp = expert_loss_grad(pred)
         d_pred += w.gamma * d_exp
     combined = w.alpha * std + w.beta * cons + w.gamma * exp_
     return LossBreakdown(std, cons, exp_, combined), d_pred

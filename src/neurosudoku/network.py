@@ -26,7 +26,19 @@ N_LOGITS = N_CELLS * GRID_SIZE  # 729
 CHECKPOINT_FORMAT = "neurosudoku-checkpoint"
 CHECKPOINT_VERSION = 1
 
-PARAM_FIELDS = ("W1", "b1", "W2", "b2")
+PARAM_SHAPES = {
+    "W1": (HIDDEN_UNITS, N_CELLS),
+    "b1": (HIDDEN_UNITS,),
+    "W2": (N_LOGITS, HIDDEN_UNITS),
+    "b2": (N_LOGITS,),
+}
+PARAM_FIELDS = tuple(PARAM_SHAPES)
+_OFFSETS = np.cumsum([0] + [math.prod(s) for s in PARAM_SHAPES.values()]).tolist()
+N_PARAMS = _OFFSETS[-1]  # 52,633
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class NumericOverflowError(ArithmeticError):
@@ -34,36 +46,52 @@ class NumericOverflowError(ArithmeticError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file has the wrong format or version."""
+    """A checkpoint file is malformed or has the wrong format or version."""
 
 
-@dataclass
+def _param_view(name: str) -> property:
+    """A field of ModelParams: a view into its buffer; assignment copies in."""
+    k = PARAM_FIELDS.index(name)
+    start, stop, shape = _OFFSETS[k], _OFFSETS[k + 1], PARAM_SHAPES[name]
+
+    def get(self) -> np.ndarray:
+        return self.data[start:stop].reshape(shape)
+
+    def set(self, value) -> None:
+        self.data[start:stop].reshape(shape)[...] = value
+
+    return property(get, set)
+
+
 class ModelParams:
-    """Weights and biases of the two dense layers.
+    """Weights and biases of the two dense layers in one contiguous float64
+    buffer ``data`` of N_PARAMS entries.
 
-    The same container is reused for anything parameter-shaped: gradients
-    and Adam moment accumulators.
+    ``W1`` (64, 81), ``b1`` (64,), ``W2`` (729, 64) and ``b2`` (729,) are
+    views into the buffer, in that order; assigning one of them writes into
+    the buffer.  The same container is reused for anything parameter-shaped:
+    gradients and Adam moment accumulators.
     """
 
-    W1: np.ndarray  # (64, 81)
-    b1: np.ndarray  # (64,)
-    W2: np.ndarray  # (729, 64)
-    b2: np.ndarray  # (729,)
+    W1 = _param_view("W1")
+    b1 = _param_view("b1")
+    W2 = _param_view("W2")
+    b2 = _param_view("b2")
+
+    def __init__(self, data: np.ndarray):
+        if data.shape != (N_PARAMS,) or data.dtype != np.float64:
+            raise ValueError(f"parameter buffer must be float64 of shape ({N_PARAMS},)")
+        self.data = data
 
     def copy(self) -> "ModelParams":
-        return ModelParams(*(getattr(self, f).copy() for f in PARAM_FIELDS))
+        return ModelParams(self.data.copy())
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(getattr(self, f)).all() for f in PARAM_FIELDS)
+        return bool(np.isfinite(self.data).all())
 
 
 def zeros_params() -> ModelParams:
-    return ModelParams(
-        W1=np.zeros((HIDDEN_UNITS, N_CELLS)),
-        b1=np.zeros(HIDDEN_UNITS),
-        W2=np.zeros((N_LOGITS, HIDDEN_UNITS)),
-        b2=np.zeros(N_LOGITS),
-    )
+    return ModelParams(np.zeros(N_PARAMS))
 
 
 def init_params(seed: int) -> ModelParams:
@@ -71,12 +99,10 @@ def init_params(seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     lim1 = math.sqrt(6.0 / (N_CELLS + HIDDEN_UNITS))
     lim2 = math.sqrt(6.0 / (HIDDEN_UNITS + N_LOGITS))
-    return ModelParams(
-        W1=rng.uniform(-lim1, lim1, size=(HIDDEN_UNITS, N_CELLS)),
-        b1=np.zeros(HIDDEN_UNITS),
-        W2=rng.uniform(-lim2, lim2, size=(N_LOGITS, HIDDEN_UNITS)),
-        b2=np.zeros(N_LOGITS),
-    )
+    params = zeros_params()
+    params.W1 = rng.uniform(-lim1, lim1, size=PARAM_SHAPES["W1"])
+    params.W2 = rng.uniform(-lim2, lim2, size=PARAM_SHAPES["W2"])
+    return params
 
 
 def encode_input(grid) -> np.ndarray:
@@ -92,6 +118,7 @@ class ForwardCache:
     pre_hidden: np.ndarray
     hidden: np.ndarray
     logits: np.ndarray
+    probs: np.ndarray  # (81, 9) per-cell softmax of the logits
 
 
 def _softmax_cells(logits: np.ndarray) -> np.ndarray:
@@ -112,23 +139,25 @@ def forward(params: ModelParams, x: np.ndarray):
         logits = params.W2 @ hidden + params.b2
         if not np.isfinite(logits).all():
             raise NumericOverflowError("numeric overflow in the output layer")
-    tensor = _softmax_cells(logits).reshape(GRID_SIZE, GRID_SIZE, GRID_SIZE)
-    return tensor, ForwardCache(x=x.copy(), pre_hidden=pre_hidden, hidden=hidden, logits=logits)
+    probs = _softmax_cells(logits)
+    cache = ForwardCache(x=x.copy(), pre_hidden=pre_hidden, hidden=hidden,
+                         logits=logits, probs=probs)
+    return probs.reshape(GRID_SIZE, GRID_SIZE, GRID_SIZE), cache
 
 
 def backward(params: ModelParams, cache: ForwardCache, d_tensor: np.ndarray) -> ModelParams:
     """Chain dLoss/dTensor back to parameter gradients."""
-    probs = _softmax_cells(cache.logits)
+    probs = cache.probs
     dp = d_tensor.reshape(N_CELLS, GRID_SIZE)
     # softmax Jacobian per cell: dz = p * (dp - <dp, p>)
     dz = (probs * (dp - (dp * probs).sum(axis=1, keepdims=True))).reshape(-1)
-    dW2 = np.outer(dz, cache.hidden)
-    db2 = dz
-    dh = params.W2.T @ dz
-    dpre = dh * (cache.pre_hidden > 0.0)
-    dW1 = np.outer(dpre, cache.x)
-    db1 = dpre
-    return ModelParams(W1=dW1, b1=db1, W2=dW2, b2=db2)
+    grads = ModelParams(np.empty(N_PARAMS))
+    np.outer(dz, cache.hidden, out=grads.W2)
+    grads.b2 = dz
+    dpre = (params.W2.T @ dz) * (cache.pre_hidden > 0.0)
+    np.outer(dpre, cache.x, out=grads.W1)
+    grads.b1 = dpre
+    return grads
 
 
 def decode_prediction(tensor: np.ndarray) -> np.ndarray:
@@ -138,42 +167,33 @@ def decode_prediction(tensor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators plus hyperparameters."""
+    """Adam moment accumulators, step count and learning rate."""
 
     m: ModelParams
     v: ModelParams
     timestep: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    return AdamState(m=zeros_params(), v=zeros_params(), timestep=0,
-                     lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def init_adam(lr: float = 0.001) -> AdamState:
+    return AdamState(m=zeros_params(), v=zeros_params(), timestep=0, lr=lr)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
-    """One bias-corrected Adam update.  Returns (new params, new state)."""
+    """One bias-corrected Adam update.  Returns (new params, new state);
+    the inputs are left unchanged."""
     if not grads.all_finite():
         raise NumericOverflowError("numeric overflow: non-finite gradient")
     t = state.timestep + 1
-    b1, b2 = state.beta1, state.beta2
-    new_p, new_m, new_v = {}, {}, {}
-    for f in PARAM_FIELDS:
-        g = getattr(grads, f)
-        m = b1 * getattr(state.m, f) + (1.0 - b1) * g
-        v = b2 * getattr(state.v, f) + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_p[f] = getattr(params, f) - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        new_m[f] = m
-        new_v[f] = v
+    g = grads.data
+    m = ADAM_BETA1 * state.m.data + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v.data + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new = params.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return (
-        ModelParams(**new_p),
-        replace(state, m=ModelParams(**new_m), v=ModelParams(**new_v), timestep=t),
+        ModelParams(new),
+        replace(state, m=ModelParams(m), v=ModelParams(v), timestep=t),
     )
 
 
@@ -191,13 +211,21 @@ def save_params(params: ModelParams, path, seed: int = 0) -> None:
 
 
 def load_params(path):
-    """Read a checkpoint.  Returns (params, seed)."""
+    """Read a checkpoint.  Returns (params, seed).
+
+    Raises CheckpointError for anything but a versioned checkpoint object
+    holding every field as a finite numeric array of its shape.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSON syntax or text encoding
             raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"checkpoint {path} holds a JSON {type(payload).__name__}, expected an object"
+        )
+    if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"checkpoint {path} has format {payload.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
@@ -207,19 +235,25 @@ def load_params(path):
             f"checkpoint {path} has version {payload.get('version')!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    shapes = {
-        "W1": (HIDDEN_UNITS, N_CELLS),
-        "b1": (HIDDEN_UNITS,),
-        "W2": (N_LOGITS, HIDDEN_UNITS),
-        "b2": (N_LOGITS,),
-    }
-    arrays = {}
-    for f in PARAM_FIELDS:
-        arr = np.asarray(payload[f], dtype=np.float64)
-        if arr.shape != shapes[f]:
+    params = zeros_params()
+    for f, shape in PARAM_SHAPES.items():
+        if f not in payload:
+            raise CheckpointError(f"checkpoint {path} has no field {f}")
+        try:
+            arr = np.asarray(payload[f], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"checkpoint {path}: field {f} has shape {arr.shape}, "
-                f"expected {shapes[f]}"
+                f"checkpoint {path}: field {f} is not a numeric array: {exc}"
+            ) from exc
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"checkpoint {path}: field {f} has shape {arr.shape}, expected {shape}"
             )
-        arrays[f] = arr
-    return ModelParams(**arrays), int(payload.get("seed", 0))
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint {path}: field {f} has non-finite values")
+        setattr(params, f, arr)
+    try:
+        seed = int(payload.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: seed is not an integer: {exc}") from exc
+    return params, seed

@@ -5,8 +5,7 @@ and model-based puzzle solving with rule-aware post-processing.
 The training loop mirrors the per-puzzle structure: each epoch visits every
 puzzle (in a seeded shuffle), computes the combined loss of the network's
 prediction against that puzzle's solution and mask, and applies one Adam
-update per puzzle (batch size 1).  A mean-batch mode (one update per epoch
-on averaged gradients) exists but is off by default.
+update per puzzle (batch size 1).
 """
 
 from __future__ import annotations
@@ -20,19 +19,20 @@ import numpy as np
 
 from .engine import generate_solved, mask_puzzle, solve
 from .grids import (
+    CELL_UNITS,
     GRID_SIZE,
+    N_CELLS,
+    UNITS,
     PuzzleInstance,
     SCOPE_ALL,
     SCOPE_EMPTY,
     as_grid,
     cell_accuracy,
     format_grid,
-    is_valid_complete,
     parse_grid,
 )
 from .losses import LossBreakdown, LossConfig, ablation_config, combined_loss, combined_loss_grad
 from .network import (
-    PARAM_FIELDS,
     ModelParams,
     adam_step,
     backward,
@@ -41,17 +41,12 @@ from .network import (
     forward,
     init_adam,
     init_params,
-    zeros_params,
 )
 
 MODE_ARGMAX = "argmax"
 MODE_GREEDY = "greedy-constrained"
 MODE_HYBRID = "hybrid-complete"
 POSTPROCESS_MODES = (MODE_ARGMAX, MODE_GREEDY, MODE_HYBRID)
-
-
-class DatasetConsistencyError(RuntimeError):
-    """A built instance failed re-verification by the logic engine (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,7 @@ class TrainConfig:
     seed: int = 0
     loss: LossConfig = field(default_factory=lambda: ablation_config("all-combined"))
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    shuffle_each_epoch: bool = True
     postprocess_mode: str = MODE_ARGMAX
-    mean_batch: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -82,9 +72,7 @@ class TrainConfig:
             "folds": self.folds,
             "seed": self.seed,
             "lr": self.lr,
-            "shuffle_each_epoch": self.shuffle_each_epoch,
             "postprocess_mode": self.postprocess_mode,
-            "mean_batch": self.mean_batch,
         }
         d.update(self.loss.to_dict())
         return d
@@ -95,12 +83,8 @@ class TrainConfig:
         for key in ("epochs", "folds", "seed"):
             if key in data:
                 known[key] = int(data[key])
-        for key in ("lr", "beta1", "beta2", "epsilon"):
-            if key in data:
-                known[key] = float(data[key])
-        for key in ("shuffle_each_epoch", "mean_batch"):
-            if key in data:
-                known[key] = bool(data[key])
+        if "lr" in data:
+            known["lr"] = float(data["lr"])
         if "postprocess_mode" in data:
             known["postprocess_mode"] = data["postprocess_mode"]
         return cls(loss=LossConfig.from_dict(data), **known)
@@ -135,32 +119,19 @@ def dataset_fingerprint(dataset) -> str:
 
 
 def build_dataset(n_puzzles: int, difficulty: float, seed: int):
-    """Generate, mask, and re-verify ``n_puzzles`` instances.
+    """Generate and mask ``n_puzzles`` instances.
 
     Instance k derives from seed+k for both generation and masking, so the
-    dataset is a pure function of (n_puzzles, difficulty, seed).  Every
-    instance is re-checked against the logic engine before inclusion; a
-    failure indicates an internal bug and aborts.
+    dataset is a pure function of (n_puzzles, difficulty, seed).  Each
+    instance comes out of ``PuzzleInstance.validate``, which proves that its
+    stored solution is a valid completion of its givens.
     """
     if n_puzzles < 1:
         raise ValueError("n_puzzles must be >= 1")
-    dataset = []
-    for k in range(n_puzzles):
-        solved = generate_solved(seed + k)
-        inst = mask_puzzle(solved, difficulty, seed + k)
-        outcome = solve(inst.puzzle, 1)
-        if not outcome.solutions:
-            raise DatasetConsistencyError(
-                f"internal consistency failure: instance {k} (seed {seed + k}) "
-                "has no completion"
-            )
-        if not is_valid_complete(inst.solution):
-            raise DatasetConsistencyError(
-                f"internal consistency failure: instance {k} (seed {seed + k}) "
-                "stored an invalid solution"
-            )
-        dataset.append(inst)
-    return dataset
+    return [
+        mask_puzzle(generate_solved(seed + k), difficulty, seed + k)
+        for k in range(n_puzzles)
+    ]
 
 
 def save_dataset(dataset, path) -> None:
@@ -209,43 +180,19 @@ def train(dataset, config: TrainConfig, init_seed: int):
     if not dataset:
         raise ValueError("dataset must be nonempty")
     params = init_params(init_seed)
-    state = init_adam(config.lr, config.beta1, config.beta2, config.epsilon)
+    state = init_adam(config.lr)
     inputs = [encode_input(inst.puzzle) for inst in dataset]
-    n = len(dataset)
     history = []
     for epoch in range(config.epochs):
-        if config.shuffle_each_epoch:
-            order = np.random.default_rng((init_seed, epoch)).permutation(n)
-        else:
-            order = np.arange(n)
+        order = np.random.default_rng((init_seed, epoch)).permutation(len(dataset))
         epoch_losses = []
-        if config.mean_batch:
-            acc = zeros_params()
-            for i in order:
-                tensor, cache = forward(params, inputs[i])
-                breakdown, d_tensor = combined_loss_grad(tensor, dataset[i], config.loss)
-                grads = backward(params, cache, d_tensor)
-                for f in PARAM_FIELDS:
-                    acc_field = getattr(acc, f)
-                    acc_field += getattr(grads, f) / n
-                epoch_losses.append(breakdown.combined)
-            params, state = adam_step(params, acc, state)
-        else:
-            for i in order:
-                tensor, cache = forward(params, inputs[i])
-                breakdown, d_tensor = combined_loss_grad(tensor, dataset[i], config.loss)
-                grads = backward(params, cache, d_tensor)
-                params, state = adam_step(params, grads, state)
-                epoch_losses.append(breakdown.combined)
+        for i in order:
+            tensor, cache = forward(params, inputs[i])
+            breakdown, d_tensor = combined_loss_grad(tensor, dataset[i], config.loss)
+            params, state = adam_step(params, backward(params, cache, d_tensor), state)
+            epoch_losses.append(breakdown.combined)
         history.append(float(np.mean(epoch_losses)))
     return params, history
-
-
-def _feasible(grid: np.ndarray, row: int, col: int, digit: int) -> bool:
-    if digit in grid[row, :] or digit in grid[:, col]:
-        return False
-    br, bc = 3 * (row // 3), 3 * (col // 3)
-    return digit not in grid[br:br + 3, bc:bc + 3]
 
 
 def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np.ndarray:
@@ -255,12 +202,14 @@ def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np
     greedy-constrained: empty cells filled in descending order of peak
     probability, each taking its most probable digit that does not clash
     with already-placed digits; unfillable cells stay 0.
-    hybrid-complete: greedy, then the logic engine completes any leftover
-    empties from the placed digits (first solution).  If the greedy
-    placements blocked every completion, the engine solves again from the
-    original givens alone, so a solvable puzzle always yields a fully
-    valid grid; only an unsolvable puzzle returns the degraded greedy
-    output.  Never raises.
+    hybrid-complete: greedy; if that leaves an empty cell, the logic engine
+    solves the puzzle from its givens alone (first solution) and the
+    network's placements are dropped.  Greedy leaves a cell empty only
+    when every digit is already placed among its peers, and later
+    placements only remove candidates, so the greedy grid itself never has
+    a completion.  A solvable puzzle therefore always yields a fully valid
+    grid; only an unsolvable one returns the degraded greedy output.
+    Never raises.
     """
     puzzle = as_grid(puzzle)
     if mode not in POSTPROCESS_MODES:
@@ -272,19 +221,23 @@ def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np
         grid[given] = puzzle[given]
         return grid
     grid = puzzle.copy()
-    empties = [(i, j) for i in range(GRID_SIZE) for j in range(GRID_SIZE) if puzzle[i, j] == 0]
-    empties.sort(key=lambda ij: (-tensor[ij[0], ij[1]].max(), ij[0], ij[1]))
-    for i, j in empties:
-        by_prob = sorted(range(1, 10), key=lambda d: (-tensor[i, j, d - 1], d))
-        for digit in by_prob:
-            if _feasible(grid, i, j, digit):
-                grid[i, j] = digit
-                break
+    cells = grid.reshape(-1)
+    probs = tensor.reshape(N_CELLS, GRID_SIZE)
+    # used[u, d]: digit d is placed in unit u (column 0, set by empty cells, is unused)
+    used = np.zeros((len(UNITS), GRID_SIZE + 1), dtype=bool)
+    used[np.arange(len(UNITS))[:, None], cells[UNITS]] = True
+    empties = np.flatnonzero(cells == 0)
+    # most confident cell first; stable sort keeps row-major order on ties
+    for cell in empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]:
+        units = CELL_UNITS[cell]
+        free = ~used[units, 1:].any(axis=0)
+        if free.any():
+            # most probable free digit; argmax takes the smallest on ties
+            digit = int(np.argmax(np.where(free, probs[cell], -np.inf))) + 1
+            cells[cell] = digit
+            used[units, digit] = True
     if mode == MODE_HYBRID and (grid == 0).any():
-        outcome = solve(grid, 1)
-        if outcome.solutions:
-            return outcome.solutions[0]
-        outcome = solve(puzzle, 1)  # greedy blocked all completions
+        outcome = solve(puzzle, 1)
         if outcome.solutions:
             return outcome.solutions[0]
     return grid

@@ -82,6 +82,21 @@ def _unit_cells():
 UNIT_CELLS = _unit_cells()
 
 
+def is_valid_complete_slow(grid):
+    for unit in UNIT_CELLS:
+        if sorted(int(grid[i][j]) for (i, j) in unit) != list(range(1, 10)):
+            return False
+    return True
+
+
+def is_consistent_partial_slow(grid):
+    for unit in UNIT_CELLS:
+        placed = [int(grid[i][j]) for (i, j) in unit if grid[i][j] != 0]
+        if len(placed) != len(set(placed)):
+            return False
+    return True
+
+
 def standard_loss_slow(pred, target):
     total = 0.0
     for i in range(9):
@@ -121,6 +136,23 @@ def expert_loss_slow(pred, target):
         true_sum = sum(int(target[i][j]) for (i, j) in unit)
         total += abs(pred_sum - true_sum)
     return total
+
+
+# ---------------------------------------------------------------------------
+# greedy post-processing: most confident empty cell first, each taking its
+# most probable digit not yet placed in its row, column or box
+
+
+def greedy_fill_slow(tensor, puzzle):
+    grid = [[int(v) for v in row] for row in np.asarray(puzzle)]
+    empties = [(i, j) for i in range(9) for j in range(9) if grid[i][j] == 0]
+    empties.sort(key=lambda ij: (-max(tensor[ij[0]][ij[1]]), ij[0], ij[1]))
+    for i, j in empties:
+        for d in sorted(range(1, 10), key=lambda d: (-tensor[i][j][d - 1], d)):
+            if _placement_ok(grid, i, j, d):
+                grid[i][j] = d
+                break
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_criterion_2_gradient_correctness():
                 standard_loss(tensor, inst.solution),
                 constraints_loss(tensor, inst.mask, inst.puzzle, MODE_FIXED_TARGET),
                 constraints_loss(tensor, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT),
-                expert_loss(tensor, inst.solution),
+                expert_loss(tensor),
                 combined_loss(tensor, inst, all_combined).combined,
             ])
 
@@ -134,7 +134,7 @@ def test_criterion_2_gradient_correctness():
             standard_loss_grad(tensor, inst.solution)[1],
             constraints_loss_grad(tensor, inst.mask, inst.puzzle, MODE_FIXED_TARGET)[1],
             constraints_loss_grad(tensor, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT)[1],
-            expert_loss_grad(tensor, inst.solution)[1],
+            expert_loss_grad(tensor)[1],
             combined_loss_grad(tensor, inst, all_combined)[1],
         ]
         analytic = [backward(params, cache, dt) for dt in d_tensors]
@@ -168,7 +168,7 @@ def test_criterion_3_loss_identities():
     std_uniform = standard_loss(uniform, solution)
     assert abs(std_uniform - math.log(9)) <= 1e-9
 
-    exp_uniform = expert_loss(uniform, solution)
+    exp_uniform = expert_loss(uniform)
     assert abs(exp_uniform) <= 1e-9
 
     cons_truth = constraints_loss(truth, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT)
@@ -188,7 +188,7 @@ def test_criterion_3_loss_identities():
         weights.alpha * standard_loss(tensor, inst.solution)
         + weights.beta * constraints_loss(tensor, inst.mask, inst.puzzle,
                                           MODE_SOLUTION_CONSISTENT)
-        + weights.gamma * expert_loss(tensor, inst.solution)
+        + weights.gamma * expert_loss(tensor)
     )
     assert abs(breakdown.combined - direct) <= 1e-9
 

@@ -39,6 +39,12 @@ class TestGen:
         run_cli("--seed", "5", "gen", "--n", "4", "--difficulty", "0.3", "--data-out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_difficulty_out_of_range_exits_2(self, tmp_path, capsys):
+        code = run_cli("gen", "--difficulty", "1.5", "--data-out", str(tmp_path / "d.jsonl"))
+        assert code == 2
+        assert "difficulty" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_unwritable_path_reports_and_fails(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "data.jsonl"
         code = run_cli("gen", "--n", "2", "--data-out", str(bad))
@@ -130,6 +136,20 @@ class TestTable1:
         assert code == 0
         rows = list(csv.DictReader(open(out / "table1.csv")))
         assert {r["n_puzzles"] for r in rows} == {"4"}
+
+    def test_malformed_rows_exit_2(self, tmp_path, capsys):
+        code = run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "12x0.1")
+        assert code == 2
+        assert "12x0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "0.5"), ("--beta", "0.5"), ("--gamma", "0.5"),
+        ("--postprocess-mode", "greedy-constrained"),
+    ])
+    def test_flags_it_does_not_read_are_rejected(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "4:0.1", flag, value)
+        assert exc.value.code == 2
 
     def test_line_style_chart(self, tmp_path):
         out = tmp_path / "t1"

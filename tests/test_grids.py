@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurosudoku.grids import (
+    CELL_UNITS,
+    UNITS,
     PuzzleInstance,
     SCOPE_ALL,
     SCOPE_EMPTY,
@@ -14,9 +16,10 @@ from neurosudoku.grids import (
     is_valid_complete,
     masked_cell_count,
     parse_grid,
-    subgrid_index,
 )
 from neurosudoku.engine import generate_solved, mask_puzzle
+
+from oracles import UNIT_CELLS, is_consistent_partial_slow, is_valid_complete_slow
 
 
 def pattern_grid():
@@ -27,6 +30,9 @@ def pattern_grid():
 
 
 class TestSubgridIndex:
+    """Box (subgrid) numbering in ``UNITS``: boxes are units 18..26, row-major,
+    top-left box = 0, center = 4, bottom-right = 8."""
+
     @pytest.mark.parametrize("row,col,expected", [
         (0, 0, 0),
         (4, 4, 4),
@@ -35,20 +41,16 @@ class TestSubgridIndex:
         (8, 8, 8),
     ])
     def test_known_cells(self, row, col, expected):
-        assert subgrid_index(row, col) == expected
-
-    @pytest.mark.parametrize("row,col", [(-1, 0), (0, 9), (9, 0), (3, -2)])
-    def test_out_of_range(self, row, col):
-        with pytest.raises(ValueError):
-            subgrid_index(row, col)
+        cell = 9 * row + col
+        assert CELL_UNITS[cell].tolist() == [row, 9 + col, 18 + expected]
+        assert cell in UNITS[18 + expected]
 
     def test_partitions_into_nine_boxes_of_nine(self):
-        boxes = {}
-        for i in range(9):
-            for j in range(9):
-                boxes.setdefault(subgrid_index(i, j), []).append((i, j))
-        assert sorted(boxes) == list(range(9))
-        assert all(len(cells) == 9 for cells in boxes.values())
+        assert UNITS.shape == (27, 9)
+        for first in (0, 9, 18):  # rows, columns, boxes each cover the grid once
+            assert sorted(UNITS[first:first + 9].reshape(-1).tolist()) == list(range(81))
+        expected = [sorted(9 * i + j for i, j in unit) for unit in UNIT_CELLS]
+        assert [sorted(unit) for unit in UNITS.tolist()] == expected
 
 
 class TestIsValidComplete:
@@ -94,6 +96,21 @@ class TestIsConsistentPartial:
             g = generate_solved(seed)
             assert is_valid_complete(g)
             assert is_consistent_partial(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 500),
+    edits=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 9)), max_size=6),
+)
+def test_validity_predicates_match_loop_oracles(seed, edits):
+    g = generate_solved(seed).reshape(-1)
+    for cell, value in edits:
+        g[cell] = value
+    assert is_valid_complete(g) == is_valid_complete_slow(g.reshape(9, 9))
+    assert is_consistent_partial(g) == is_consistent_partial_slow(g.reshape(9, 9))
+    sparse = np.where(np.arange(81) % 3 == seed % 3, g, 0)
+    assert is_consistent_partial(sparse) == is_consistent_partial_slow(sparse.reshape(9, 9))
 
 
 @settings(max_examples=20, deadline=None)

@@ -121,12 +121,12 @@ class TestConstraintsLoss:
 
 class TestExpertLoss:
     def test_one_hot_truth_is_zero(self, solved_grid):
-        assert expert_loss(one_hot_tensor(solved_grid), solved_grid) == pytest.approx(0.0, abs=1e-12)
+        assert expert_loss(one_hot_tensor(solved_grid)) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_is_zero(self, solved_grid, uniform_tensor):
         # every cell expectation is 5, every unit sum 45: the expert loss
         # alone cannot distinguish the uniform prediction from the truth
-        assert expert_loss(uniform_tensor, solved_grid) == pytest.approx(0.0, abs=1e-9)
+        assert expert_loss(uniform_tensor) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_cell_shift_costs_three(self, solved_grid):
         tensor = one_hot_tensor(solved_grid)
@@ -134,13 +134,13 @@ class TestExpertLoss:
         shifted_to = d + 1 if d < 9 else d - 1
         tensor[0, 0, d - 1] = 0.0
         tensor[0, 0, shifted_to - 1] = 1.0
-        assert expert_loss(tensor, solved_grid) == pytest.approx(3.0, abs=1e-9)
+        assert expert_loss(tensor) == pytest.approx(3.0, abs=1e-9)
 
     def test_matches_slow_oracle(self, solved_grid):
         rng = np.random.default_rng(3)
         for _ in range(10):
             tensor = random_tensor(rng)
-            assert expert_loss(tensor, solved_grid) == pytest.approx(
+            assert expert_loss(tensor) == pytest.approx(
                 expert_loss_slow(tensor, solved_grid), abs=1e-9
             )
 
@@ -302,8 +302,8 @@ class TestTensorGradients:
 
     def test_expert_grad(self, instance_03):
         tensor = random_tensor(np.random.default_rng(8))
-        _, grad = expert_loss_grad(tensor, instance_03.solution)
-        fd, idx = self.tensor_fd(lambda t: expert_loss(t, instance_03.solution), tensor)
+        _, grad = expert_loss_grad(tensor)
+        fd, idx = self.tensor_fd(expert_loss, tensor)
         flat_a, flat_fd = grad.reshape(-1), fd.reshape(-1)
         for i in idx:
             assert flat_a[i] == pytest.approx(flat_fd[i], rel=1e-4, abs=1e-6)
@@ -316,5 +316,5 @@ class TestTensorGradients:
         _, d_cons = constraints_loss_grad(
             tensor, instance_03.mask, instance_03.puzzle, config.constraint_mode
         )
-        _, d_exp = expert_loss_grad(tensor, instance_03.solution)
+        _, d_exp = expert_loss_grad(tensor)
         assert np.allclose(d_combined, 0.5 * d_std + 1.5 * d_cons + 2.0 * d_exp, atol=1e-12)

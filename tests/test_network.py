@@ -11,6 +11,7 @@ from neurosudoku.network import (
     CheckpointError,
     HIDDEN_UNITS,
     N_LOGITS,
+    N_PARAMS,
     NumericOverflowError,
     PARAM_FIELDS,
     adam_step,
@@ -48,6 +49,31 @@ class TestEncodeInput:
         x = encode_input(solved_grid)
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert x.shape == (81,)
+
+
+class TestModelParams:
+    def test_fields_are_views_of_one_buffer(self):
+        p = init_params(0)
+        assert p.data.shape == (N_PARAMS,)
+        assert np.concatenate([getattr(p, f).reshape(-1) for f in PARAM_FIELDS]).tolist() \
+            == p.data.tolist()
+        p.b2.reshape(81, 9)[0, 0] = 7.0
+        assert p.data[N_PARAMS - N_LOGITS] == 7.0
+
+    def test_field_assignment_writes_into_buffer(self):
+        p = zeros_params()
+        view = p.W1
+        p.W1 = np.ones((HIDDEN_UNITS, 81))
+        assert (view == 1.0).all()
+        assert p.data[:HIDDEN_UNITS * 81].sum() == HIDDEN_UNITS * 81
+        with pytest.raises(ValueError):
+            p.b1 = np.ones(3)
+
+    def test_copy_is_independent(self):
+        p = init_params(0)
+        q = p.copy()
+        q.W2[0, 0] += 1.0
+        assert q.W2[0, 0] != p.W2[0, 0]
 
 
 class TestInitParams:
@@ -196,6 +222,15 @@ class TestAdam:
         assert p.b1[0] == pytest.approx(expected, abs=1e-15)
         assert 0.5 * p.b1[0] ** 2 < 0.5  # quadratic loss shrank from 0.5
 
+    def test_inputs_left_unchanged(self):
+        p, g, state = init_params(0), init_params(1), init_adam()
+        before = (p.data.copy(), g.data.copy(), state.m.data.copy(), state.v.data.copy())
+        new_p, new_state = adam_step(p, g, state)
+        after = (p.data, g.data, state.m.data, state.v.data)
+        assert all((a == b).all() for a, b in zip(before, after))
+        assert state.timestep == 0 and new_state.timestep == 1
+        assert not (new_p.data == p.data).all()
+
     def test_non_finite_gradient_rejected(self):
         g = zeros_params()
         g.W1[0, 0] = np.nan
@@ -235,6 +270,21 @@ class TestCheckpoint:
         path = tmp_path / "junk.json"
         path.write_text("not json at all")
         with pytest.raises(CheckpointError, match="JSON"):
+            load_params(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda payload: [payload], "JSON list"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "W1"}, "no field W1"),
+        (lambda payload: {**payload, "b1": ["x"] * 64}, "not a numeric array"),
+        (lambda payload: {**payload, "b2": [float("nan")] * 729}, "non-finite"),
+    ], ids=["json-list", "missing-field", "non-numeric", "nan-weights"])
+    def test_malformed_payload_raises_checkpoint_error(self, tmp_path, edit, match):
+        import json
+
+        path = tmp_path / "model.json"
+        save_params(init_params(0), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointError, match=match):
             load_params(path)
 
     def test_bad_shape_rejected(self, tmp_path):
