@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import charts, engine, grids, network, training
 from .losses import (
@@ -39,6 +40,10 @@ DEFAULT_TABLE1_ROWS = (
     (1000, 0.8),
 )
 DEFAULT_TABLE1_SEEDS = (0, 1, 2)
+CONFIG_KEYS = (
+    "n_puzzles", "difficulty", "ablation", "alpha", "beta", "gamma",
+    "constraint_mode", "epochs", "folds", "seed", "lr", "postprocess_mode",
+)
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -53,6 +58,12 @@ def _load_config_file(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"config file {path} has unknown keys {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(CONFIG_KEYS)}"
+        )
     return data
 
 
@@ -113,6 +124,8 @@ def _difficulty(value) -> float:
 def cmd_gen(args, config: dict) -> int:
     seed = int(_merged(args, config, "seed", 0))
     n = int(_merged(args, config, "n_puzzles", 12))
+    if n < 1:
+        return _fail(f"--n must be >= 1, got {n}", 2)
     try:
         difficulty = _difficulty(_merged(args, config, "difficulty", 0.1))
     except ValueError as exc:
@@ -129,7 +142,10 @@ def cmd_gen(args, config: dict) -> int:
 
 def cmd_train(args, config: dict) -> int:
     seed = int(_merged(args, config, "seed", 0))
-    cfg = _train_config(args, config, seed)
+    try:
+        cfg = _train_config(args, config, seed)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     try:
         dataset = training.load_dataset(args.data)
     except OSError as exc:
@@ -148,11 +164,16 @@ def cmd_train(args, config: dict) -> int:
 
 def cmd_eval(args, config: dict) -> int:
     seed = int(_merged(args, config, "seed", 0))
-    cfg = _train_config(args, config, seed)
+    try:
+        cfg = _train_config(args, config, seed)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     try:
         dataset = training.load_dataset(args.data)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
+    if len(dataset) < cfg.folds:
+        return _fail(f"{args.data} has {len(dataset)} puzzles, fewer than folds={cfg.folds}", 2)
     result = training.kfold_evaluate(dataset, cfg)
     difficulty = dataset[0].difficulty if dataset else 0.0
     rows = training.result_rows(result, len(dataset), difficulty)
@@ -191,8 +212,18 @@ def cmd_table1(args, config: dict) -> int:
             return _fail(f"unknown ablation label: {label!r}", 2)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_TABLE1_SEEDS)
     constraint_mode = _merged(args, config, "constraint_mode", MODE_SOLUTION_CONSISTENT)
-    epochs = int(_merged(args, config, "epochs", 200))
-    folds = int(_merged(args, config, "folds", 3))
+    try:
+        run = training.TrainConfig(
+            epochs=int(_merged(args, config, "epochs", 200)),
+            folds=int(_merged(args, config, "folds", 3)),
+            lr=float(_merged(args, config, "lr", 0.001)),
+            loss=ablation_config(ablations[0], constraint_mode),  # checks the mode
+        )
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    for n, difficulty in rows:
+        if n < run.folds:
+            return _fail(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}", 2)
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []
@@ -210,20 +241,14 @@ def cmd_table1(args, config: dict) -> int:
             for label in ablations:
                 dataset = datasets[key]
                 if dataset is None:
-                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, epochs))
+                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, run.epochs))
                     continue
-                cfg = training.TrainConfig(
-                    epochs=epochs,
-                    folds=folds,
-                    seed=base_seed,
-                    loss=ablation_config(label, constraint_mode),
-                    lr=float(_merged(args, config, "lr", 0.001)),
-                )
+                cfg = replace(run, seed=base_seed, loss=ablation_config(label, constraint_mode))
                 try:
                     result = training.kfold_evaluate(dataset, cfg)
                 except Exception as exc:
                     failures.append(((n, difficulty, base_seed, label), "evaluate", str(exc)))
-                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, epochs))
+                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, run.epochs))
                     continue
                 all_rows.extend(training.result_rows(result, n, difficulty))
                 print(

@@ -7,14 +7,24 @@ row-major reshape, so ``logits.reshape(9, 9, 9)[r, c]`` are that cell's
 digit scores.  All arithmetic is double precision.
 
 Gradients are exact reverse-mode: the loss modules provide dLoss/dTensor
-and ``backward`` chains it through softmax, the dense layers, and relu.
+and ``backward`` chains it through softmax, the dense layers, and relu,
+into a fresh buffer or into one the caller reuses.
+
+Adam updates the parameters and its moments in place, with the bias
+correction folded into two scalars (Kingma & Ba 2015, section 2): at step t
+the parameters move by ``lr_t * m / (sqrt(v) + eps_t)`` with
+``lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)`` and
+``eps_t = eps * sqrt(1 - beta2^t)``, which equals the textbook
+``lr * m_hat / (sqrt(v_hat) + eps)`` up to rounding.  A step allocates no
+parameter-sized array: every intermediate goes through one scratch buffer
+owned by the optimizer state.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,7 +97,8 @@ class ModelParams:
         return ModelParams(self.data.copy())
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
+        # min and max propagate NaN; two reductions allocate nothing
+        return math.isfinite(self.data.min()) and math.isfinite(self.data.max())
 
 
 def zeros_params() -> ModelParams:
@@ -145,13 +156,18 @@ def forward(params: ModelParams, x: np.ndarray):
     return probs.reshape(GRID_SIZE, GRID_SIZE, GRID_SIZE), cache
 
 
-def backward(params: ModelParams, cache: ForwardCache, d_tensor: np.ndarray) -> ModelParams:
-    """Chain dLoss/dTensor back to parameter gradients."""
+def backward(params: ModelParams, cache: ForwardCache, d_tensor: np.ndarray,
+             out: ModelParams | None = None) -> ModelParams:
+    """Chain dLoss/dTensor back to parameter gradients.
+
+    Writes them into ``out`` and returns it; without ``out``, into a fresh
+    ModelParams.
+    """
     probs = cache.probs
     dp = d_tensor.reshape(N_CELLS, GRID_SIZE)
     # softmax Jacobian per cell: dz = p * (dp - <dp, p>)
     dz = (probs * (dp - (dp * probs).sum(axis=1, keepdims=True))).reshape(-1)
-    grads = ModelParams(np.empty(N_PARAMS))
+    grads = ModelParams(np.empty(N_PARAMS)) if out is None else out
     np.outer(dz, cache.hidden, out=grads.W2)
     grads.b2 = dz
     dpre = (params.W2.T @ dz) * (cache.pre_hidden > 0.0)
@@ -167,34 +183,55 @@ def decode_prediction(tensor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, step count and learning rate."""
+    """Adam moment accumulators, step count and learning rate, plus the
+    scratch buffer every update works in."""
 
     m: ModelParams
     v: ModelParams
     timestep: int = 0
     lr: float = 0.001
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(N_PARAMS), repr=False)
 
 
 def init_adam(lr: float = 0.001) -> AdamState:
     return AdamState(m=zeros_params(), v=zeros_params(), timestep=0, lr=lr)
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState):
-    """One bias-corrected Adam update.  Returns (new params, new state);
-    the inputs are left unchanged."""
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place.
+
+    Writes ``params.data``, ``state.m.data``, ``state.v.data`` (and
+    ``state.scratch``) and increments ``state.timestep``; ``grads`` is only
+    read.  Raises NumericOverflowError, before writing anything, if the
+    gradient holds a NaN or an infinity.
+
+    The moments are computed as ``beta1*m + (1-beta1)*g`` and
+    ``beta2*v + (1-beta2)*g*g`` in that operation order; the step uses the
+    folded bias correction of the module docstring.
+    """
     if not grads.all_finite():
         raise NumericOverflowError("numeric overflow: non-finite gradient")
     t = state.timestep + 1
-    g = grads.data
-    m = ADAM_BETA1 * state.m.data + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v.data + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new = params.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return (
-        ModelParams(new),
-        replace(state, m=ModelParams(m), v=ModelParams(v), timestep=t),
-    )
+    root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step = state.lr * root / (1.0 - ADAM_BETA1 ** t)
+    eps_hat = ADAM_EPSILON * root
+    g, m, v, s = grads.data, state.m.data, state.v.data, state.scratch
+    # m = beta1*m + (1-beta1)*g
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    # v = beta2*v + (1-beta2)*g*g
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    s *= g
+    v += s
+    # params -= step * m / (sqrt(v) + eps_hat)
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= step
+    params.data -= s
+    state.timestep = t
 
 
 def save_params(params: ModelParams, path, seed: int = 0) -> None:

@@ -41,6 +41,7 @@ from .network import (
     forward,
     init_adam,
     init_params,
+    zeros_params,
 )
 
 MODE_ARGMAX = "argmax"
@@ -181,6 +182,7 @@ def train(dataset, config: TrainConfig, init_seed: int):
         raise ValueError("dataset must be nonempty")
     params = init_params(init_seed)
     state = init_adam(config.lr)
+    grads = zeros_params()  # backward writes every step's gradient here
     inputs = [encode_input(inst.puzzle) for inst in dataset]
     history = []
     for epoch in range(config.epochs):
@@ -189,7 +191,7 @@ def train(dataset, config: TrainConfig, init_seed: int):
         for i in order:
             tensor, cache = forward(params, inputs[i])
             breakdown, d_tensor = combined_loss_grad(tensor, dataset[i], config.loss)
-            params, state = adam_step(params, backward(params, cache, d_tensor), state)
+            adam_step(params, backward(params, cache, d_tensor, out=grads), state)
             epoch_losses.append(breakdown.combined)
         history.append(float(np.mean(epoch_losses)))
     return params, history

@@ -212,3 +212,20 @@ def adam_scalar_reference(grad_fn, theta, steps, lr=0.001, beta1=0.9, beta2=0.99
         v_hat = v / (1 - beta2 ** t)
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+# ---------------------------------------------------------------------------
+# one Adam step as a pure function on flat arrays: the textbook formula with
+# bias-corrected moments, new arrays out, inputs untouched
+
+
+def adam_step_slow(params, grads, m, v, timestep, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Returns (new params, new m, new v, new timestep)."""
+    t = timestep + 1
+    g = grads
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    new = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new, m, v, t

@@ -45,6 +45,13 @@ class TestGen:
         assert "difficulty" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_puzzles_exits_2(self, tmp_path, capsys, n):
+        code = run_cli("gen", "--n", n, "--data-out", str(tmp_path / "d.jsonl"))
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_unwritable_path_reports_and_fails(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "data.jsonl"
         code = run_cli("gen", "--n", "2", "--data-out", str(bad))
@@ -92,6 +99,47 @@ class TestTrainEval:
         assert rows[0]["ablation"] == "standard-only"
         assert rows[0]["epochs"] == "1"
         assert rows[0]["seed"] == "3"
+
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"epoch": 1, "mean_batch": True, "ablation": "standard-only"}))
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
+        code = run_cli("--config", str(cfg), "train", "--data", str(data),
+                       "--model-out", str(tmp_path / "model.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'epoch'" in err and "'mean_batch'" in err and "'ablation'" not in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ("--epochs", "0"), "epochs must be >= 1"),
+        ("train", ("--alpha", "-1"), "weights must be nonnegative"),
+        ("eval", ("--folds", "1"), "folds must be >= 2"),
+        ("eval", ("--folds", "5", "--epochs", "1"), "fewer than folds=5"),
+    ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size"])
+    def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
+        capsys.readouterr()
+        out = tmp_path / "result"
+        flag = "--model-out" if command == "train" else "--csv-out"
+        assert run_cli(command, "--data", str(data), flag, str(out), *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_documented_config_key_accepted(self, tmp_path):
+        from neurosudoku.cli import CONFIG_KEYS
+
+        assert len(CONFIG_KEYS) == 12
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "n_puzzles": 2, "difficulty": 0.1, "ablation": "standard-only", "alpha": 1.0,
+            "beta": 0.0, "gamma": 0.0, "constraint_mode": "solution-consistent",
+            "epochs": 1, "folds": 2, "seed": 1, "lr": 0.001, "postprocess_mode": "argmax",
+        }))
+        assert run_cli("--config", str(cfg), "gen", "--data-out", str(tmp_path / "d.jsonl")) == 0
+        assert len(load_dataset(tmp_path / "d.jsonl")) == 2
 
 
 class TestTable1:
@@ -141,6 +189,32 @@ class TestTable1:
         code = run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "12x0.1")
         assert code == 2
         assert "12x0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--rows", "4:0.1", "--folds", "1"),
+        ("--rows", "4:0.1", "--folds", "0"),
+        ("--rows", "12:0.1,4:0.1", "--folds", "5"),
+        ("--rows", "0:0.1"),
+        ("--rows", "4:0.1", "--epochs", "0"),
+    ], ids=["folds-1", "folds-0", "folds-above-row-size", "empty-row", "epochs-0"])
+    def test_bad_folds_or_sizes_exit_2_before_any_work(self, tmp_path, capsys, argv):
+        out = tmp_path / "t1"
+        code = run_cli("--out", str(out), "table1", "--seeds", "0", *argv)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"folds": 1}, "folds must be >= 2"),
+        ({"constraint_mode": "nope"}, "unknown constraint mode"),
+    ], ids=["folds", "constraint-mode"])
+    def test_bad_config_values_exit_2_before_any_work(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "t1"
+        assert run_cli("--config", str(cfg), "--out", str(out), "table1", "--rows", "4:0.1") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--alpha", "0.5"), ("--beta", "0.5"), ("--gamma", "0.5"),

@@ -10,6 +10,7 @@ from neurosudoku.losses import ablation_config, combined_loss, combined_loss_gra
 from neurosudoku.network import (
     CheckpointError,
     HIDDEN_UNITS,
+    ModelParams,
     N_LOGITS,
     N_PARAMS,
     NumericOverflowError,
@@ -26,7 +27,7 @@ from neurosudoku.network import (
     zeros_params,
 )
 
-from oracles import adam_scalar_reference
+from oracles import adam_scalar_reference, adam_step_slow
 
 
 class TestEncodeInput:
@@ -172,13 +173,18 @@ class TestDecodePrediction:
         assert (decode_prediction(base_tensor) == decode_prediction(shifted_tensor)).all()
 
 
+def _random_params(seed, scale=1.0):
+    return ModelParams(np.random.default_rng(seed).normal(0, scale, N_PARAMS))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = init_params(0)
-        new_p, state = adam_step(p, zeros_params(), init_adam())
+        before = p.data.copy()
+        state = init_adam()
+        assert adam_step(p, zeros_params(), state) is None
         assert state.timestep == 1
-        for f in PARAM_FIELDS:
-            assert (getattr(new_p, f) == getattr(p, f)).all()
+        assert (p.data == before).all()
 
     def test_first_step_moves_against_gradient_sign_at_most_lr(self):
         p = zeros_params()
@@ -187,9 +193,10 @@ class TestAdam:
         for f in PARAM_FIELDS:
             getattr(g, f)[...] = rng.normal(0, 1, getattr(g, f).shape)
         lr = 0.001
-        new_p, _ = adam_step(p, g, init_adam(lr=lr))
+        before = p.copy()
+        adam_step(p, g, init_adam(lr=lr))
         for f in PARAM_FIELDS:
-            delta = getattr(new_p, f) - getattr(p, f)
+            delta = getattr(p, f) - getattr(before, f)
             grad = getattr(g, f)
             assert np.abs(delta).max() <= lr + 1e-12
             moved = np.abs(grad) > 1e-12
@@ -202,10 +209,10 @@ class TestAdam:
         p = zeros_params()
         p.b1[0] = 1.0
         state = init_adam()
+        g = zeros_params()
         for _ in range(steps):
-            g = zeros_params()
             g.b1[0] = p.b1[0]
-            p, state = adam_step(p, g, state)
+            adam_step(p, g, state)
         assert p.b1[0] == pytest.approx(expected, abs=1e-12)
         assert abs(p.b1[0]) < 1.0  # loss shrank
 
@@ -215,21 +222,68 @@ class TestAdam:
         p = zeros_params()
         p.b1[0] = 1.0
         state = init_adam()
+        g = zeros_params()
         for _ in range(2):
-            g = zeros_params()
             g.b1[0] = p.b1[0]
-            p, state = adam_step(p, g, state)
+            adam_step(p, g, state)
         assert p.b1[0] == pytest.approx(expected, abs=1e-15)
         assert 0.5 * p.b1[0] ** 2 < 0.5  # quadratic loss shrank from 0.5
 
-    def test_inputs_left_unchanged(self):
+    def test_updates_params_and_state_in_place_and_leaves_grads(self):
         p, g, state = init_params(0), init_params(1), init_adam()
-        before = (p.data.copy(), g.data.copy(), state.m.data.copy(), state.v.data.copy())
-        new_p, new_state = adam_step(p, g, state)
-        after = (p.data, g.data, state.m.data, state.v.data)
-        assert all((a == b).all() for a, b in zip(before, after))
-        assert state.timestep == 0 and new_state.timestep == 1
-        assert not (new_p.data == p.data).all()
+        buffers = (p.data, state.m.data, state.v.data, state.scratch)
+        p_before, g_before = p.data.copy(), g.data.copy()
+        expected = adam_step_slow(p_before, g_before, state.m.data.copy(),
+                                  state.v.data.copy(), 0, state.lr)
+        assert adam_step(p, g, state) is None
+        assert (g.data == g_before).all()
+        assert state.timestep == 1
+        # the same buffers, now holding the updated values
+        assert all(a is b for a, b in zip(buffers, (p.data, state.m.data, state.v.data,
+                                                    state.scratch)))
+        assert not (p.data == p_before).all()
+        np.testing.assert_allclose(p.data, expected[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected[0]).max())
+        assert (state.m.data == expected[1]).all() and (state.v.data == expected[2]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-8.0, 2.0),
+        lr=st.floats(1e-5, 1e-1),
+        density=st.floats(0.0, 1.0),
+        steps=st.integers(1, 6),
+    )
+    def test_agrees_with_pure_formula_over_k_steps(self, seed, log_scale, lr, density, steps):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        p, state = _random_params(seed), init_adam(lr=lr)
+        ref_p, ref_m, ref_v, ref_t = p.data.copy(), np.zeros(N_PARAMS), np.zeros(N_PARAMS), 0
+        g = zeros_params()
+        for _ in range(steps):
+            g.data[...] = rng.normal(0, scale, N_PARAMS) * (rng.random(N_PARAMS) < density)
+            adam_step(p, g, state)
+            ref_p, ref_m, ref_v, ref_t = adam_step_slow(ref_p, g.data, ref_m, ref_v, ref_t, lr)
+        assert state.timestep == ref_t == steps
+        # the moments keep the formula's operation order: equal bit for bit
+        assert state.m.data.tobytes() == ref_m.tobytes()
+        assert state.v.data.tobytes() == ref_v.tobytes()
+        np.testing.assert_allclose(p.data, ref_p, rtol=1e-9, atol=1e-9 * np.abs(ref_p).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, N_PARAMS - 1),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_gradient_writes_nothing(self, index, bad):
+        p, state = init_params(0), init_adam()
+        adam_step(p, _random_params(1, 1e-2), state)  # nonzero moments
+        before = (p.data.copy(), state.m.data.copy(), state.v.data.copy())
+        g = _random_params(2, 1e-2)
+        g.data[index] = bad
+        with pytest.raises(NumericOverflowError):
+            adam_step(p, g, state)
+        assert state.timestep == 1
+        for a, b in zip(before, (p.data, state.m.data, state.v.data)):
+            assert a.tobytes() == b.tobytes()
 
     def test_non_finite_gradient_rejected(self):
         g = zeros_params()
@@ -334,3 +388,12 @@ class TestBackwardQuick:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 assert abs(analytic[i] - fd) <= 1e-4 * max(1.0, abs(analytic[i]), abs(fd))
+
+    def test_out_buffer_is_filled_and_returned(self):
+        inst = mask_puzzle(generate_solved(2), 0.3, 2)
+        params = init_params(3)
+        tensor, cache = forward(params, encode_input(inst.puzzle))
+        _, d_tensor = combined_loss_grad(tensor, inst, ablation_config("all-combined"))
+        buf = ModelParams(np.full(N_PARAMS, np.nan))  # every entry must be overwritten
+        assert backward(params, cache, d_tensor, out=buf) is buf
+        assert buf.data.tobytes() == backward(params, cache, d_tensor).data.tobytes()

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from neurosudoku.engine import generate_solved, mask_puzzle, solve
 from neurosudoku.grids import format_grid, is_valid_complete
 from neurosudoku.losses import ablation_config, combined_loss_grad
 from neurosudoku.network import (
+    N_PARAMS,
     PARAM_FIELDS,
     adam_step,
     backward,
@@ -102,9 +104,27 @@ class TestTrain:
         tensor, cache = forward(expected, x)
         _, d_tensor = combined_loss_grad(tensor, dataset[0], config.loss)
         grads = backward(expected, cache, d_tensor)
-        expected, state = adam_step(expected, grads, state)
+        adam_step(expected, grads, state)
         for f in PARAM_FIELDS:
             assert (getattr(params, f) == getattr(expected, f)).all()
+
+    def test_steps_allocate_no_parameter_sized_temporaries(self):
+        # numpy reports its buffers to tracemalloc.  A run holds five
+        # parameter-sized buffers (params, Adam's m, v and scratch, the
+        # gradient) and short-lived per-step arrays (numpy's ufunc buffers in
+        # backward's outer products, the loss gradient's arrays) of about 0.4
+        # of one: a peak of 5.4.  One parameter-sized temporary per update
+        # takes the peak past six.
+        dataset = build_dataset(8, 0.3, 0)
+        config = TrainConfig(epochs=3)
+        train(dataset, config, init_seed=0)  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            train(dataset, config, init_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * N_PARAMS * 8, f"peak {peak / (N_PARAMS * 8):.2f} parameter buffers"
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
