@@ -8,46 +8,31 @@
 
 import os
 
-from neurosudoku.charts import comparison_chart
-from neurosudoku.losses import ABLATIONS, ablation_config
-from neurosudoku.training import (
-    TrainConfig,
-    build_dataset,
-    kfold_evaluate,
-    result_rows,
-    write_results_csv,
-)
+from neurosudoku.charts import grid_charts
+from neurosudoku.losses import ABLATIONS
+from neurosudoku.training import TrainConfig, run_grid, write_results_csv
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
 
-N_PUZZLES = 12
-DIFFICULTIES = (0.1, 0.8)
+ROWS = ((12, 0.1), (12, 0.8))  # (puzzles, difficulty)
 EPOCHS = 60  # a fast demo; the experiment default is 200
 
 rows = []
-means = {}
-for difficulty in DIFFICULTIES:
-    dataset = build_dataset(N_PUZZLES, difficulty, seed=0)
-    for label in ABLATIONS:
-        config = TrainConfig(epochs=EPOCHS, folds=3, seed=0,
-                             loss=ablation_config(label))
-        result = kfold_evaluate(dataset, config)
-        rows.extend(result_rows(result, N_PUZZLES, difficulty))
-        means[(difficulty, label)] = result.mean_all
-        print(f"difficulty {difficulty} {label:22s} "
-              f"acc_all={result.mean_all:.3f} +/- {result.std_all:.3f}")
+for cell in run_grid(ROWS, seeds=(0,), ablations=ABLATIONS,
+                     run=TrainConfig(epochs=EPOCHS, folds=3)):
+    if cell.error is not None:
+        raise SystemExit(f"cell {cell.difficulty} {cell.config.loss.ablation}: {cell.error}")
+    rows.extend(cell.csv_rows())
+    print(f"difficulty {cell.difficulty} {cell.config.loss.ablation:22s} "
+          f"acc_all={cell.result.mean_all:.3f} +/- {cell.result.std_all:.3f}")
 
 csv_path = os.path.join(OUT_DIR, "mini_grid.csv")
 write_results_csv(rows, csv_path)
 print("\nwrote", csv_path)
 
-svg = comparison_chart(
-    title=f"accuracy vs difficulty ({N_PUZZLES} puzzles, {EPOCHS} epochs)",
-    group_labels=[str(d) for d in DIFFICULTIES],
-    series=[(label, [means[(d, label)] for d in DIFFICULTIES]) for label in ABLATIONS],
-)
-svg_path = os.path.join(OUT_DIR, "mini_grid.svg")
-with open(svg_path, "w", encoding="utf-8") as fh:
-    fh.write(svg)
-print("wrote", svg_path)
+for n, svg in grid_charts(rows, ABLATIONS, "bars"):
+    svg_path = os.path.join(OUT_DIR, f"mini_grid_{n}.svg")
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    print("wrote", svg_path)

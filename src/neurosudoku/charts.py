@@ -87,8 +87,9 @@ def grid_to_text(rendered: RenderedGrid, color: bool = True) -> str:
     return "\n".join(lines)
 
 
-def grid_to_svg(rendered: RenderedGrid, cell: int = 36) -> str:
+def grid_to_svg(rendered: RenderedGrid) -> str:
     """SVG rendering with status-colored cell backgrounds."""
+    cell = 36  # pixels per Sudoku cell
     size = GRID_SIZE * cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size + 2}" '
@@ -124,16 +125,8 @@ def grid_to_svg(rendered: RenderedGrid, cell: int = 36) -> str:
     return "\n".join(parts)
 
 
-def comparison_chart(
-    title: str,
-    group_labels,
-    series,
-    y_label: str = "accuracy",
-    style: str = "bars",
-    width: int = 720,
-    height: int = 420,
-) -> str:
-    """Grouped comparison chart as an SVG string.
+def comparison_chart(title: str, group_labels, series, style: str = "bars") -> str:
+    """Grouped accuracy chart as an SVG string.
 
     ``series`` is a list of (label, values) pairs, values aligned with
     ``group_labels``.  ``style`` is "bars" (grouped bars, default) or
@@ -141,6 +134,7 @@ def comparison_chart(
     """
     if style not in ("bars", "lines"):
         raise ValueError(f"unknown chart style: {style!r}")
+    width, height = 720, 420
     margin_l, margin_r, margin_t, margin_b = 60, 160, 40, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -171,7 +165,7 @@ def comparison_chart(
     parts.append(
         f'<text x="16" y="{margin_t + plot_h / 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {margin_t + plot_h / 2})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2})">accuracy</text>'
     )
     for g, label in enumerate(group_labels):
         parts.append(
@@ -226,3 +220,28 @@ def comparison_chart(
     )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+
+def grid_charts(rows, ablations, style: str):
+    """Yield (n_puzzles, svg): one accuracy-vs-difficulty chart per puzzle
+    count of ``GridCell.csv_rows`` rows, each series an ablation's mean
+    6-decimal ``acc_all`` over seeds and folds (failed cells left out, 0 if
+    none is left)."""
+    acc = {}
+    for row in rows:
+        if row["fold"] != -1:
+            key = (row["n_puzzles"], row["ablation"], row["difficulty"])
+            acc.setdefault(key, []).append(float(row["acc_all"]))
+    cells = {(row["n_puzzles"], row["difficulty"]) for row in rows}
+    for n in sorted({n for n, _ in cells}):
+        difficulties = sorted(d for nn, d in cells if nn == n)
+        series = [
+            (label, [sum(v) / len(v) if (v := acc.get((n, label, d))) else 0.0
+                     for d in difficulties])
+            for label in ablations
+        ]
+        yield n, comparison_chart(
+            f"accuracy vs difficulty ({n} puzzles, mean over seeds x folds)",
+            [str(d) for d in difficulties], series, style,
+        )

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import charts, engine, grids, network, training
 from .losses import (
@@ -148,6 +147,8 @@ def cmd_train(args, config: dict) -> int:
         return _fail(str(exc), 2)
     try:
         dataset = training.load_dataset(args.data)
+    except training.DatasetError as exc:
+        return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
     params, history = training.train(dataset, cfg, init_seed=seed)
@@ -170,6 +171,8 @@ def cmd_eval(args, config: dict) -> int:
         return _fail(str(exc), 2)
     try:
         dataset = training.load_dataset(args.data)
+    except training.DatasetError as exc:
+        return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
     if len(dataset) < cfg.folds:
@@ -200,6 +203,9 @@ def _parse_rows(text: str):
 
 
 def cmd_table1(args, config: dict) -> int:
+    unread = sorted(set(config) & {"alpha", "beta", "gamma", "postprocess_mode"})
+    if unread:  # rejected like their flags: table1 runs the fixed ablations with argmax
+        return _fail(f"table1 does not read config keys {', '.join(map(repr, unread))}", 2)
     try:
         rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
     except ValueError as exc:
@@ -227,71 +233,27 @@ def cmd_table1(args, config: dict) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []
-    failures = []
-    datasets = {}
-    for n, difficulty in rows:
-        for base_seed in seeds:
-            key = (n, difficulty, base_seed)
-            if key not in datasets:
-                try:
-                    datasets[key] = training.build_dataset(n, difficulty, base_seed)
-                except Exception as exc:  # cell failure: record, continue
-                    datasets[key] = None
-                    failures.append((key, "dataset", str(exc)))
-            for label in ablations:
-                dataset = datasets[key]
-                if dataset is None:
-                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, run.epochs))
-                    continue
-                cfg = replace(run, seed=base_seed, loss=ablation_config(label, constraint_mode))
-                try:
-                    result = training.kfold_evaluate(dataset, cfg)
-                except Exception as exc:
-                    failures.append(((n, difficulty, base_seed, label), "evaluate", str(exc)))
-                    all_rows.append(training.failed_row(n, difficulty, label, base_seed, run.epochs))
-                    continue
-                all_rows.extend(training.result_rows(result, n, difficulty))
-                print(
-                    f"n={n} difficulty={difficulty} seed={base_seed} {label}: "
-                    f"acc_all={result.mean_all:.3f} acc_empty={result.mean_empty:.3f}"
-                )
+    failed = 0
+    for cell in training.run_grid(rows, seeds, ablations, run):
+        all_rows.extend(cell.csv_rows())
+        name = (f"n={cell.n_puzzles} difficulty={cell.difficulty} "
+                f"seed={cell.config.seed} {cell.config.loss.ablation}")
+        if cell.error is None:
+            print(f"{name}: acc_all={cell.result.mean_all:.3f} "
+                  f"acc_empty={cell.result.mean_empty:.3f}")
+        else:
+            failed += 1
+            print(f"error: cell {name} failed: {cell.error}", file=sys.stderr)
 
     csv_path = os.path.join(args.out, "table1.csv")
     training.write_results_csv(all_rows, csv_path)
     print(f"results: {csv_path}")
-
-    # one chart per puzzle count: difficulty groups, one series per ablation
-    by_count = {}
-    for row in all_rows:
-        if row["fold"] == -1:
-            continue
-        key = (row["n_puzzles"], row["ablation"], row["difficulty"])
-        by_count.setdefault(key, []).append(float(row["acc_all"]))
-    for n in sorted({n for n, _ in rows}):
-        difficulties = sorted({d for nn, d in rows if nn == n})
-        series = []
-        for label in ablations:
-            values = [
-                float(sum(v) / len(v)) if (v := by_count.get((n, label, d))) else 0.0
-                for d in difficulties
-            ]
-            series.append((label, values))
-        svg = charts.comparison_chart(
-            title=f"accuracy vs difficulty ({n} puzzles, mean over seeds x folds)",
-            group_labels=[str(d) for d in difficulties],
-            series=series,
-            style=args.chart_style,
-        )
+    for n, svg in charts.grid_charts(all_rows, ablations, args.chart_style):
         svg_path = os.path.join(args.out, f"accuracy_{n}.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
         print(f"chart: {svg_path}")
-
-    if failures:
-        for key, stage, msg in failures:
-            print(f"error: cell {key} failed during {stage}: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_solve(args, config: dict) -> int:

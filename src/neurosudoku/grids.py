@@ -146,9 +146,8 @@ def parse_grid(text: str) -> np.ndarray:
     return cells.reshape(GRID_SIZE, GRID_SIZE)
 
 
-def format_grid(grid, empty: str = ".") -> str:
-    """Render a grid as its 81-character row-major line."""
-    grid = as_grid(grid)
+def format_grid(grid) -> str:
+    """Render a grid as its 81-character row-major line, '.' for empty."""
     return "".join(
-        empty if v == 0 else str(v) for v in grid.reshape(-1).tolist()
+        "." if v == 0 else str(v) for v in as_grid(grid).reshape(-1).tolist()
     )

@@ -1,6 +1,7 @@
 """End-to-end training: dataset construction through the logic engine,
 per-puzzle gradient updates on the combined loss, K-fold cross-validation,
-and model-based puzzle solving with rule-aware post-processing.
+model-based puzzle solving with rule-aware post-processing, and
+``run_grid``, the ablation grid of k-fold runs behind ``table1``.
 
 The training loop mirrors the per-puzzle structure: each epoch visits every
 puzzle (in a seeded shuffle), computes the combined loss of the network's
@@ -13,7 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +66,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.postprocess_mode not in POSTPROCESS_MODES:
             raise ValueError(f"unknown postprocess mode: {self.postprocess_mode!r}")
 
@@ -147,7 +151,33 @@ def save_dataset(dataset, path) -> None:
             }) + "\n")
 
 
+class DatasetError(ValueError):
+    """A dataset file holds a record that is not a valid puzzle instance."""
+
+
+def _parse_record(line: str) -> PuzzleInstance:
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    missing = [key for key in ("puzzle", "solution", "difficulty", "seed") if key not in rec]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    for key in ("puzzle", "solution"):
+        if not isinstance(rec[key], str):
+            raise ValueError(f"{key} must be a string, got {type(rec[key]).__name__}")
+    puzzle = parse_grid(rec["puzzle"])
+    return PuzzleInstance(
+        puzzle=puzzle,
+        solution=parse_grid(rec["solution"]),
+        mask=puzzle == 0,
+        difficulty=float(rec["difficulty"]),
+        seed=int(rec["seed"]),
+    ).validate()
+
+
 def load_dataset(path):
+    """Read a JSON-lines dataset; DatasetError names the file and line of
+    the first bad record."""
     instances = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -155,19 +185,9 @@ def load_dataset(path):
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                puzzle = parse_grid(rec["puzzle"])
-                solution = parse_grid(rec["solution"])
-                inst = PuzzleInstance(
-                    puzzle=puzzle,
-                    solution=solution,
-                    mask=puzzle == 0,
-                    difficulty=float(rec["difficulty"]),
-                    seed=int(rec["seed"]),
-                ).validate()
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
-            instances.append(inst)
+                instances.append(_parse_record(line))
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
     return instances
 
 
@@ -350,22 +370,53 @@ def result_rows(result: ExperimentResult, n_puzzles: int, difficulty: float):
     return rows
 
 
-def failed_row(n_puzzles: int, difficulty: float, ablation: str, seed: int, epochs: int):
-    """Placeholder row for a grid cell whose run raised; fold=-1, metrics nan."""
-    return {
-        "n_puzzles": n_puzzles,
-        "difficulty": difficulty,
-        "ablation": ablation,
-        "fold": -1,
-        "acc_all": "nan",
-        "acc_empty": "nan",
-        "loss_standard": "nan",
-        "loss_constraints": "nan",
-        "loss_expert": "nan",
-        "loss_combined": "nan",
-        "epochs": epochs,
-        "seed": seed,
-    }
+@dataclass(frozen=True)
+class GridCell:
+    """One (row, base seed, ablation) cell of the ablation grid: its config
+    and either its k-fold result or the error that stopped it."""
+
+    n_puzzles: int
+    difficulty: float
+    config: TrainConfig
+    result: ExperimentResult | None
+    error: str | None
+
+    def csv_rows(self):
+        """One CSV row per fold; a failed cell gets one row, fold=-1, metrics nan."""
+        if self.result is not None:
+            return result_rows(self.result, self.n_puzzles, self.difficulty)
+        row = dict.fromkeys(CSV_COLUMNS, "nan")
+        row.update(n_puzzles=self.n_puzzles, difficulty=self.difficulty, fold=-1,
+                   ablation=self.config.loss.ablation or "custom",
+                   epochs=self.config.epochs, seed=self.config.seed)
+        return [row]
+
+
+def run_grid(rows, seeds, ablations, run: TrainConfig):
+    """Yield one GridCell per (row, base seed, ablation), nested in that order.
+
+    ``rows`` are (n_puzzles, difficulty) pairs.  One dataset is built per
+    (row, seed) and shared by its ablations; each cell's config is ``run``
+    with that seed and the ablation's weights in ``run``'s constraint mode.
+    A cell whose dataset build or k-fold run raises comes out with ``error``
+    set and no result, and the grid carries on.
+    """
+    for n, difficulty in rows:
+        for seed in seeds:
+            try:
+                dataset, dataset_error = build_dataset(n, difficulty, seed), None
+            except Exception as exc:  # every ablation of this (row, seed) fails
+                dataset, dataset_error = None, f"dataset: {exc}"
+            for label in ablations:
+                config = replace(run, seed=seed,
+                                 loss=ablation_config(label, run.loss.constraint_mode))
+                result, error = None, dataset_error
+                if dataset is not None:
+                    try:
+                        result = kfold_evaluate(dataset, config)
+                    except Exception as exc:
+                        error = f"evaluate: {exc}"
+                yield GridCell(n, difficulty, config, result, error)
 
 
 def write_results_csv(rows, path) -> None:

@@ -46,7 +46,7 @@ from neurosudoku.network import (
     forward,
     init_params,
 )
-from neurosudoku.training import TrainConfig, build_dataset, kfold_evaluate, train
+from neurosudoku.training import TrainConfig, build_dataset, kfold_evaluate, run_grid, train
 
 from oracles import block_relative_error, finite_difference_grads, solve_naive
 
@@ -263,15 +263,10 @@ def ablation_grid():
     """12-puzzle results at difficulties 0.1 and 0.8 for every ablation,
     3 base seeds x 3 folds, default settings."""
     results = {}
-    for difficulty in (0.1, 0.8):
-        for base_seed in TREND_SEEDS:
-            dataset = build_dataset(12, difficulty, base_seed)
-            for label in ABLATION_LABELS:
-                config = TrainConfig(epochs=200, folds=3, seed=base_seed,
-                                     loss=ablation_config(label))
-                results.setdefault((difficulty, label), []).append(
-                    kfold_evaluate(dataset, config)
-                )
+    run = TrainConfig(epochs=200, folds=3)
+    for cell in run_grid([(12, 0.1), (12, 0.8)], TREND_SEEDS, ABLATION_LABELS, run):
+        assert cell.error is None, cell.error
+        results.setdefault((cell.difficulty, cell.config.loss.ablation), []).append(cell.result)
     return results
 
 

@@ -117,7 +117,12 @@ class TestTrainEval:
         ("train", ("--alpha", "-1"), "weights must be nonnegative"),
         ("eval", ("--folds", "1"), "folds must be >= 2"),
         ("eval", ("--folds", "5", "--epochs", "1"), "fewer than folds=5"),
-    ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size"])
+        ("train", ("--lr", "-0.001"), "lr must be finite and > 0"),
+        ("train", ("--lr", "0"), "lr must be finite and > 0"),
+        ("eval", ("--lr", "nan"), "lr must be finite and > 0"),
+        ("eval", ("--lr", "inf"), "lr must be finite and > 0"),
+    ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size",
+            "train-lr-negative", "train-lr-0", "eval-lr-nan", "eval-lr-inf"])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
         data = tmp_path / "data.jsonl"
         run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
@@ -126,6 +131,29 @@ class TestTrainEval:
         flag = "--model-out" if command == "train" else "--csv-out"
         assert run_cli(command, "--data", str(data), flag, str(out), *flags) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record", [
+        {"puzzle": "1" * 82, "solution": "1" * 81, "difficulty": 0.1, "seed": 0},
+        [1],
+        "x",
+        {"puzzle": 5, "solution": "1" * 81, "difficulty": 0.1, "seed": 0},
+        {"puzzle": "." * 81, "solution": None, "difficulty": 0.1, "seed": 0},
+    ], ids=["82-characters", "list", "string", "puzzle-number", "solution-null"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_dataset_record_exits_2(self, tmp_path, capsys, command, record):
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = json.dumps(record)
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "result"
+        flag = "--model-out" if command == "train" else "--csv-out"
+        assert run_cli(command, "--data", str(data), flag, str(out), "--folds", "2") == 2
+        err = capsys.readouterr().err
+        assert f"{data}:2: bad dataset record" in err
+        assert "Error:" not in err  # no exception type leaks through
         assert not out.exists()
 
     def test_every_documented_config_key_accepted(self, tmp_path):
@@ -196,7 +224,12 @@ class TestTable1:
         ("--rows", "12:0.1,4:0.1", "--folds", "5"),
         ("--rows", "0:0.1"),
         ("--rows", "4:0.1", "--epochs", "0"),
-    ], ids=["folds-1", "folds-0", "folds-above-row-size", "empty-row", "epochs-0"])
+        ("--rows", "4:0.1", "--lr", "-0.001"),
+        ("--rows", "4:0.1", "--lr", "0"),
+        ("--rows", "4:0.1", "--lr=nan"),
+        ("--rows", "4:0.1", "--lr", "inf"),
+    ], ids=["folds-1", "folds-0", "folds-above-row-size", "empty-row", "epochs-0",
+            "lr-negative", "lr-0", "lr-nan", "lr-inf"])
     def test_bad_folds_or_sizes_exit_2_before_any_work(self, tmp_path, capsys, argv):
         out = tmp_path / "t1"
         code = run_cli("--out", str(out), "table1", "--seeds", "0", *argv)
@@ -207,7 +240,11 @@ class TestTable1:
     @pytest.mark.parametrize("config,message", [
         ({"folds": 1}, "folds must be >= 2"),
         ({"constraint_mode": "nope"}, "unknown constraint mode"),
-    ], ids=["folds", "constraint-mode"])
+        ({"postprocess_mode": "greedy-constrained", "alpha": 0.5},
+         "does not read config keys 'alpha', 'postprocess_mode'"),
+        ({"beta": 0.5}, "does not read config keys 'beta'"),
+        ({"gamma": 0.0}, "does not read config keys 'gamma'"),
+    ], ids=["folds", "constraint-mode", "alpha-postprocess-mode", "beta", "gamma"])
     def test_bad_config_values_exit_2_before_any_work(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
@@ -224,6 +261,36 @@ class TestTable1:
         with pytest.raises(SystemExit) as exc:
             run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "4:0.1", flag, value)
         assert exc.value.code == 2
+
+    def test_failing_cell_is_recorded_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        from neurosudoku import training
+
+        real_evaluate = training.kfold_evaluate
+
+        def flaky_evaluate(dataset, config):
+            if config.loss.ablation == "standard+expert":
+                raise RuntimeError("boom")
+            return real_evaluate(dataset, config)
+
+        monkeypatch.setattr(training, "kfold_evaluate", flaky_evaluate)
+        out = tmp_path / "t1"
+        code = run_cli("--out", str(out), "table1", "--rows", "4:0.1", "--seeds", "0",
+                       "--epochs", "1", "--folds", "2")
+        assert code == 1
+        rows = list(csv.DictReader(open(out / "table1.csv")))
+        folds = {}
+        for r in rows:
+            folds.setdefault(r["ablation"], []).append(r["fold"])
+        assert folds == {"standard-only": ["0", "1"], "standard+expert": ["-1"],
+                         "standard+constraints": ["0", "1"], "all-combined": ["0", "1"]}
+        failed = next(r for r in rows if r["fold"] == "-1")
+        assert failed["acc_all"] == failed["loss_combined"] == "nan"
+        root = ET.parse(out / "accuracy_4.svg").getroot()
+        bars = {el.get("data-series"): el for el in root.iter() if el.get("class") == "bar"}
+        assert len(bars) == 4 and bars["standard+expert"].get("height") == "0.0"
+        err = capsys.readouterr().err
+        assert "n=4 difficulty=0.1 seed=0 standard+expert" in err and "boom" in err
+        assert "standard-only" not in err
 
     def test_line_style_chart(self, tmp_path):
         out = tmp_path / "t1"

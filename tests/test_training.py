@@ -1,4 +1,6 @@
 import csv
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,18 +22,21 @@ from neurosudoku.network import (
     init_params,
     zeros_params,
 )
+from neurosudoku import training
 from neurosudoku.training import (
     CSV_COLUMNS,
     MODE_ARGMAX,
     MODE_GREEDY,
     MODE_HYBRID,
+    DatasetError,
+    GridCell,
     TrainConfig,
     build_dataset,
     dataset_fingerprint,
-    failed_row,
     kfold_evaluate,
     load_dataset,
     result_rows,
+    run_grid,
     save_dataset,
     solve_with_model,
     train,
@@ -87,7 +92,7 @@ class TestDatasetIO:
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"puzzle": "123", "solution": "456", "difficulty": 0.1, "seed": 0}\n')
-        with pytest.raises(ValueError, match=":1:"):
+        with pytest.raises(DatasetError, match=":1:"):
             load_dataset(path)
 
 
@@ -366,10 +371,86 @@ class TestResultsCsv:
         assert read_rows[0]["fold"] == "0"
 
     def test_failed_row_shape(self):
-        row = failed_row(12, 0.1, "standard-only", 3, 200)
+        config = TrainConfig(epochs=200, seed=3, loss=ablation_config("standard-only"))
+        (row,) = GridCell(12, 0.1, config, None, "evaluate: boom").csv_rows()
         assert set(row) == set(CSV_COLUMNS)
         assert row["fold"] == -1
-        assert row["acc_all"] == "nan"
+        assert (row["n_puzzles"], row["difficulty"], row["ablation"]) == (12, 0.1, "standard-only")
+        assert (row["epochs"], row["seed"]) == (200, 3)
+        assert all(row[k] == "nan" for k in CSV_COLUMNS if k.startswith(("acc_", "loss_")))
+
+    def test_cell_with_result_gives_its_fold_rows(self):
+        config = TrainConfig(epochs=1, folds=2)
+        result = kfold_evaluate(build_dataset(4, 0.1, 1), config)
+        assert GridCell(4, 0.1, config, result, None).csv_rows() == result_rows(result, 4, 0.1)
+
+
+GRID_ROWS = [(4, 0.1), (3, 0.3)]
+GRID_SEEDS = [0, 1]
+GRID_ABLATIONS = ["standard-only", "standard+expert", "all-combined"]
+GRID_RUN = TrainConfig(epochs=1, folds=2, loss=ablation_config("all-combined", "fixed-target"))
+
+
+class TestRunGrid:
+    def test_cells_come_in_nesting_order(self):
+        cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        got = [(c.n_puzzles, c.difficulty, c.config.seed, c.config.loss.ablation) for c in cells]
+        assert got == [
+            (n, d, seed, label)
+            for (n, d), seed, label in itertools.product(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS)
+        ]
+        assert all(c.error is None and c.result.config == c.config for c in cells)
+
+    def test_one_dataset_per_row_and_seed(self, monkeypatch):
+        calls = []
+
+        def counting_build(n, difficulty, seed):
+            calls.append((n, difficulty, seed))
+            return build_dataset(n, difficulty, seed)
+
+        monkeypatch.setattr(training, "build_dataset", counting_build)
+        cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        assert len(cells) == len(GRID_ROWS) * len(GRID_SEEDS) * len(GRID_ABLATIONS)
+        assert calls == [(n, d, seed) for (n, d), seed in itertools.product(GRID_ROWS, GRID_SEEDS)]
+
+    def test_each_cell_equals_a_direct_kfold_run(self):
+        for cell in run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN):
+            label = cell.config.loss.ablation
+            config = TrainConfig(epochs=1, folds=2, seed=cell.config.seed,
+                                 loss=ablation_config(label, "fixed-target"))
+            assert cell.config == config
+            direct = kfold_evaluate(build_dataset(cell.n_puzzles, cell.difficulty,
+                                                  cell.config.seed), config)
+            assert cell.result.mean_all == direct.mean_all
+            assert cell.result.mean_empty == direct.mean_empty
+            assert cell.csv_rows() == result_rows(direct, cell.n_puzzles, cell.difficulty)
+
+    def test_raising_cell_is_yielded_failed_and_grid_continues(self, monkeypatch):
+        def flaky_evaluate(dataset, config):
+            if config.loss.ablation == "standard+expert" and config.seed == 0:
+                raise RuntimeError("boom")
+            return kfold_evaluate(dataset, config)
+
+        monkeypatch.setattr(training, "kfold_evaluate", flaky_evaluate)
+        cells = list(run_grid([(4, 0.1)], GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        assert len(cells) == len(GRID_SEEDS) * len(GRID_ABLATIONS)
+        failed = [c for c in cells if c.error is not None]
+        assert [(c.config.seed, c.config.loss.ablation) for c in failed] == [(0, "standard+expert")]
+        assert failed[0].error == "evaluate: boom" and failed[0].result is None
+        assert all(c.result is not None for c in cells if c.error is None)
+
+    def test_failed_dataset_fails_that_row_and_seed_only(self, monkeypatch):
+        def flaky_build(n, difficulty, seed):
+            if seed == 1:
+                raise RuntimeError("no puzzles")
+            return build_dataset(n, difficulty, seed)
+
+        monkeypatch.setattr(training, "build_dataset", flaky_build)
+        cells = list(run_grid([(4, 0.1)], GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        assert [c.error for c in cells] == [None] * 3 + ["dataset: no puzzles"] * 3
+        rows = [row for c in cells for row in c.csv_rows()]
+        assert [row["fold"] for row in rows] == [0, 1] * 3 + [-1] * 3
+        assert all(math.isnan(float(row["acc_all"])) for row in rows if row["fold"] == -1)
 
 
 class TestConfigSerialization:
