@@ -5,8 +5,8 @@ checkpoint), ``eval`` (k-fold evaluation of a dataset), ``table1`` (the full
 ablation grid with CSV and SVG outputs), ``solve`` (model-based solving with
 optional comparison rendering), ``export-asp`` (logic-program export).
 
-Global flags: ``--seed``, ``--config <json>`` (experiment config file whose
-keys seed the per-command defaults), ``--out <dir>``, ``--profile
+Global flags: ``--seed``, ``--config <json>`` (experiment config file; a
+flag the user sets overrides its key), ``--out <dir>``, ``--profile
 quick|full``.  Exit code 0 iff all requested work succeeded; usage and
 input-format errors exit 2, runtime failures exit 1.
 """
@@ -19,14 +19,7 @@ import os
 import sys
 
 from . import charts, engine, grids, network, training
-from .losses import (
-    ABLATIONS,
-    ABLATION_WEIGHTS,
-    CONSTRAINT_MODES,
-    MODE_SOLUTION_CONSISTENT,
-    LossConfig,
-    ablation_config,
-)
+from .losses import ABLATIONS, CONSTRAINT_MODES
 
 DEFAULT_TABLE1_ROWS = (
     (12, 0.1),
@@ -43,6 +36,7 @@ CONFIG_KEYS = (
     "n_puzzles", "difficulty", "ablation", "alpha", "beta", "gamma",
     "constraint_mode", "epochs", "folds", "seed", "lr", "postprocess_mode",
 )
+TABLE1_KEYS = ("epochs", "folds", "lr", "constraint_mode")
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -66,44 +60,6 @@ def _load_config_file(path):
     return data
 
 
-def _merged(args, config: dict, key: str, default):
-    """Explicit CLI flag wins, then the config file, then the default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _train_config(args, config: dict, seed: int) -> training.TrainConfig:
-    loss_dict = {
-        "ablation": _merged(args, config, "ablation", "all-combined"),
-        "constraint_mode": _merged(args, config, "constraint_mode", MODE_SOLUTION_CONSISTENT),
-    }
-    for key in ("alpha", "beta", "gamma"):
-        value = _merged(args, config, key, None)
-        if value is not None:
-            loss_dict[key] = float(value)
-    if "alpha" in loss_dict or "beta" in loss_dict or "gamma" in loss_dict:
-        # explicit weights: fill the unstated ones from the ablation label
-        base = dict(zip(("alpha", "beta", "gamma"), ABLATION_WEIGHTS[loss_dict["ablation"]]))
-        for key, val in base.items():
-            loss_dict.setdefault(key, val)
-        loss_dict["ablation"] = None  # custom weights: no label claimed
-        loss = LossConfig.from_dict(loss_dict)
-    else:
-        loss = ablation_config(loss_dict["ablation"], loss_dict["constraint_mode"])
-    return training.TrainConfig(
-        epochs=int(_merged(args, config, "epochs", 200)),
-        folds=int(_merged(args, config, "folds", 3)),
-        seed=seed,
-        loss=loss,
-        lr=float(_merged(args, config, "lr", 0.001)),
-        postprocess_mode=_merged(args, config, "postprocess_mode", training.MODE_ARGMAX),
-    )
-
-
 def _parse_puzzle_arg(text: str):
     try:
         return grids.parse_grid(text)
@@ -120,15 +76,15 @@ def _difficulty(value) -> float:
     return difficulty
 
 
-def cmd_gen(args, config: dict) -> int:
-    seed = int(_merged(args, config, "seed", 0))
-    n = int(_merged(args, config, "n_puzzles", 12))
-    if n < 1:
-        return _fail(f"--n must be >= 1, got {n}", 2)
+def cmd_gen(args, settings: dict) -> int:
     try:
-        difficulty = _difficulty(_merged(args, config, "difficulty", 0.1))
+        seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
+        n = training.read_setting(settings, "n_puzzles", int, 12)
+        difficulty = _difficulty(training.read_setting(settings, "difficulty", float, 0.1))
     except ValueError as exc:
         return _fail(str(exc), 2)
+    if n < 1:
+        return _fail(f"--n must be >= 1, got {n}", 2)
     out_path = args.data_out or os.path.join(args.out, "dataset.jsonl")
     dataset = training.build_dataset(n, difficulty, seed)
     try:
@@ -139,10 +95,9 @@ def cmd_gen(args, config: dict) -> int:
     return 0
 
 
-def cmd_train(args, config: dict) -> int:
-    seed = int(_merged(args, config, "seed", 0))
+def cmd_train(args, settings: dict) -> int:
     try:
-        cfg = _train_config(args, config, seed)
+        cfg = training.TrainConfig.from_dict(settings)
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
@@ -151,10 +106,10 @@ def cmd_train(args, config: dict) -> int:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
-    params, history = training.train(dataset, cfg, init_seed=seed)
+    params, history = training.train(dataset, cfg, init_seed=cfg.seed)
     model_path = args.model_out or os.path.join(args.out, "model.json")
     try:
-        network.save_params(params, model_path, seed=seed)
+        network.save_params(params, model_path, seed=cfg.seed)
     except OSError as exc:
         return _fail(f"cannot write checkpoint to {model_path}: {exc}")
     print(f"trained {cfg.epochs} epochs on {len(dataset)} puzzles")
@@ -163,10 +118,9 @@ def cmd_train(args, config: dict) -> int:
     return 0
 
 
-def cmd_eval(args, config: dict) -> int:
-    seed = int(_merged(args, config, "seed", 0))
+def cmd_eval(args, settings: dict) -> int:
     try:
-        cfg = _train_config(args, config, seed)
+        cfg = training.TrainConfig.from_dict(settings)
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
@@ -202,10 +156,11 @@ def _parse_rows(text: str):
     return rows
 
 
-def cmd_table1(args, config: dict) -> int:
-    unread = sorted(set(config) & {"alpha", "beta", "gamma", "postprocess_mode"})
-    if unread:  # rejected like their flags: table1 runs the fixed ablations with argmax
-        return _fail(f"table1 does not read config keys {', '.join(map(repr, unread))}", 2)
+def cmd_table1(args, settings: dict) -> int:
+    unread = sorted(set(settings) - set(TABLE1_KEYS))
+    if unread:  # from the config file or a flag: table1 runs its own seeds and ablations
+        return _fail(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
+                     f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)", 2)
     try:
         rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
     except ValueError as exc:
@@ -216,15 +171,12 @@ def cmd_table1(args, config: dict) -> int:
     for label in ablations:
         if label not in ABLATIONS:
             return _fail(f"unknown ablation label: {label!r}", 2)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_TABLE1_SEEDS)
-    constraint_mode = _merged(args, config, "constraint_mode", MODE_SOLUTION_CONSISTENT)
     try:
-        run = training.TrainConfig(
-            epochs=int(_merged(args, config, "epochs", 200)),
-            folds=int(_merged(args, config, "folds", 3)),
-            lr=float(_merged(args, config, "lr", 0.001)),
-            loss=ablation_config(ablations[0], constraint_mode),  # checks the mode
-        )
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_TABLE1_SEEDS)
+    except ValueError:
+        return _fail(f"bad --seeds: {args.seeds!r} is not a comma list of integers", 2)
+    try:
+        run = training.TrainConfig.from_dict(settings)
     except ValueError as exc:
         return _fail(str(exc), 2)
     for n, difficulty in rows:
@@ -256,17 +208,23 @@ def cmd_table1(args, config: dict) -> int:
     return 1 if failed else 0
 
 
-def cmd_solve(args, config: dict) -> int:
+def cmd_solve(args, settings: dict) -> int:
     puzzle = _parse_puzzle_arg(args.puzzle)
     if not grids.is_consistent_partial(puzzle):
         return _fail("puzzle givens are inconsistent (duplicate digit in a unit)", 2)
+    try:
+        mode = training.read_setting(settings, "postprocess_mode", str,
+                                     training.TrainConfig.postprocess_mode)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    if mode not in training.POSTPROCESS_MODES:
+        return _fail(f"unknown postprocess mode: {mode!r}", 2)
     try:
         params, _ = network.load_params(args.model)
     except network.CheckpointError as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"cannot read checkpoint {args.model}: {exc}")
-    mode = _merged(args, config, "postprocess_mode", training.MODE_ARGMAX)
     predicted = training.solve_with_model(params, puzzle, mode)
     print(grids.format_grid(predicted))
     rendered = None
@@ -296,7 +254,7 @@ def cmd_solve(args, config: dict) -> int:
     return 0
 
 
-def cmd_export_asp(args, config: dict) -> int:
+def cmd_export_asp(args, settings: dict) -> int:
     puzzle = _parse_puzzle_arg(args.puzzle)
     program = engine.emit_asp_program(puzzle)
     out_path = args.asp_out or os.path.join(args.out, "puzzle.lp")
@@ -406,17 +364,18 @@ def main(argv=None) -> int:
         config = _load_config_file(args.config)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load config: {exc}", 2)
+    # the one merge of file and flags: a flag the user set overrides the file's key
+    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
     if args.out != "." and args.command != "table1":
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             return _fail(f"cannot create output directory {args.out}: {exc}")
     try:
-        return args.func(args, config)
+        return args.func(args, settings)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except engine.ExternalSolverUnavailable as exc:
-        return _fail(str(exc))
     except Exception as exc:  # last-resort: report, nonzero exit
         return _fail(f"{type(exc).__name__}: {exc}")
 

@@ -45,6 +45,7 @@ ABLATION_WEIGHTS = {
     "all-combined": (1.0, 1.0, 1.0),
 }
 ABLATIONS = tuple(ABLATION_WEIGHTS)
+CUSTOM = "custom"  # the label of weights that are no ablation's
 
 _DIGITS = DIGITS.astype(np.float64)
 _UNIT_SUM = float(DIGITS.sum())  # 45
@@ -57,8 +58,8 @@ class LossWeights:
     gamma: float
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("loss weights must be nonnegative and finite")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one loss weight must be positive")
 
@@ -67,23 +68,17 @@ class LossWeights:
 class LossConfig:
     weights: LossWeights
     constraint_mode: str = MODE_SOLUTION_CONSISTENT
-    ablation: str | None = None
 
     def __post_init__(self):
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode: {self.constraint_mode!r}")
-        if self.ablation is not None:
-            expected = ABLATION_WEIGHTS.get(self.ablation)
-            if expected is None:
-                raise ValueError(f"unknown ablation label: {self.ablation!r}")
-            actual = (self.weights.alpha, self.weights.beta, self.weights.gamma)
-            inconsistent = any(
-                (e == 0) != (a == 0) for e, a in zip(expected, actual)
-            )
-            if inconsistent:
-                raise ValueError(
-                    f"weights {actual} inconsistent with ablation {self.ablation!r}"
-                )
+
+    @property
+    def ablation(self) -> str:
+        """The label of the ablation whose weights these are, or ``"custom"``."""
+        w = self.weights
+        return next((label for label, weights in ABLATION_WEIGHTS.items()
+                     if weights == (w.alpha, w.beta, w.gamma)), CUSTOM)
 
     def to_dict(self) -> dict:
         return {
@@ -93,24 +88,6 @@ class LossConfig:
             "constraint_mode": self.constraint_mode,
             "ablation": self.ablation,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LossConfig":
-        if "alpha" in data or "beta" in data or "gamma" in data:
-            weights = LossWeights(
-                alpha=float(data.get("alpha", 1.0)),
-                beta=float(data.get("beta", 0.0)),
-                gamma=float(data.get("gamma", 0.0)),
-            )
-            return cls(
-                weights=weights,
-                constraint_mode=data.get("constraint_mode", MODE_SOLUTION_CONSISTENT),
-                ablation=data.get("ablation"),
-            )
-        return ablation_config(
-            data.get("ablation", "standard-only"),
-            constraint_mode=data.get("constraint_mode", MODE_SOLUTION_CONSISTENT),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,11 +106,7 @@ def ablation_config(label: str, constraint_mode: str = MODE_SOLUTION_CONSISTENT)
         raise ValueError(
             f"unknown ablation label: {label!r} (choose from {', '.join(ABLATIONS)})"
         ) from None
-    return LossConfig(
-        weights=LossWeights(alpha, beta, gamma),
-        constraint_mode=constraint_mode,
-        ablation=label,
-    )
+    return LossConfig(weights=LossWeights(alpha, beta, gamma), constraint_mode=constraint_mode)
 
 
 def _true_cell_probs(pred: np.ndarray, target: np.ndarray):

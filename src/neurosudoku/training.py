@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,15 @@ from .grids import (
     format_grid,
     parse_grid,
 )
-from .losses import LossBreakdown, LossConfig, ablation_config, combined_loss, combined_loss_grad
+from .losses import (
+    CUSTOM,
+    LossBreakdown,
+    LossConfig,
+    LossWeights,
+    ablation_config,
+    combined_loss,
+    combined_loss_grad,
+)
 from .network import (
     ModelParams,
     adam_step,
@@ -52,12 +60,33 @@ MODE_HYBRID = "hybrid-complete"
 POSTPROCESS_MODES = (MODE_ARGMAX, MODE_GREEDY, MODE_HYBRID)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def read_setting(settings: dict, key: str, kind: type, default):
+    """``settings[key]`` as ``kind`` (int, float or str), or ``default`` when
+    the key is absent.  ValueError names the key when the value has another
+    JSON type: an int takes integral numbers only, and null or a boolean is
+    never a number."""
+    if key not in settings:
+        return default
+    value = settings[key]
+    if kind is str:
+        valid = isinstance(value, str)
+    else:
+        valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                 and (kind is float or isinstance(value, int) or value.is_integer()))
+    if not valid:
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     folds: int = 3
     seed: int = 0
-    loss: LossConfig = field(default_factory=lambda: ablation_config("all-combined"))
+    loss: LossConfig = ablation_config("all-combined")
     lr: float = 0.001
     postprocess_mode: str = MODE_ARGMAX
 
@@ -83,16 +112,31 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {}
-        for key in ("epochs", "folds", "seed"):
-            if key in data:
-                known[key] = int(data[key])
-        if "lr" in data:
-            known["lr"] = float(data["lr"])
-        if "postprocess_mode" in data:
-            known["postprocess_mode"] = data["postprocess_mode"]
-        return cls(loss=LossConfig.from_dict(data), **known)
+    def from_dict(cls, settings: dict) -> "TrainConfig":
+        """The config that ``settings`` (config-file keys, as ``to_dict``
+        writes them) describe.  An absent key keeps its field's default, and
+        keys of no field, such as ``n_puzzles``, are ignored.
+
+        ``ablation`` picks the base loss weights, and a stated ``alpha``,
+        ``beta`` or ``gamma`` replaces its own; ``"custom"`` picks none, so
+        it needs all three.  ValueError names a key whose value has the
+        wrong type or is out of range.
+        """
+        mode = read_setting(settings, "constraint_mode", str, cls.loss.constraint_mode)
+        label = read_setting(settings, "ablation", str, cls.loss.ablation)
+        base = {} if label == CUSTOM else asdict(ablation_config(label, mode).weights)
+        weights = {key: read_setting(settings, key, float, base.get(key))
+                   for key in ("alpha", "beta", "gamma")}
+        if None in weights.values():
+            raise ValueError(f"ablation {CUSTOM!r} needs alpha, beta and gamma")
+        return cls(
+            epochs=read_setting(settings, "epochs", int, cls.epochs),
+            folds=read_setting(settings, "folds", int, cls.folds),
+            seed=read_setting(settings, "seed", int, cls.seed),
+            loss=LossConfig(LossWeights(**weights), mode),
+            lr=read_setting(settings, "lr", float, cls.lr),
+            postprocess_mode=read_setting(settings, "postprocess_mode", str, cls.postprocess_mode),
+        )
 
 
 @dataclass
@@ -218,7 +262,15 @@ def train(dataset, config: TrainConfig, init_seed: int):
 
 
 def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np.ndarray:
-    """Predict a completion of the puzzle; given cells always pass through.
+    """Predict a completion of the puzzle: the network's forward pass, then
+    ``postprocess`` in the given mode."""
+    tensor, _ = forward(params, encode_input(puzzle))
+    return postprocess(tensor, puzzle, mode)
+
+
+def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
+    """Turn a (9, 9, 9) prediction for the puzzle into a grid; given cells
+    always pass through.
 
     argmax: per-cell most probable digit, givens overwritten last.
     greedy-constrained: empty cells filled in descending order of peak
@@ -231,12 +283,11 @@ def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np
     placements only remove candidates, so the greedy grid itself never has
     a completion.  A solvable puzzle therefore always yields a fully valid
     grid; only an unsolvable one returns the degraded greedy output.
-    Never raises.
+    Raises only ValueError, for an unknown mode or a malformed puzzle.
     """
     puzzle = as_grid(puzzle)
     if mode not in POSTPROCESS_MODES:
         raise ValueError(f"unknown postprocess mode: {mode!r}")
-    tensor, _ = forward(params, encode_input(puzzle))
     if mode == MODE_ARGMAX:
         grid = decode_prediction(tensor)
         given = puzzle != 0
@@ -277,8 +328,10 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
     other folds only (init seed = config.seed + fold index) and validates
     on its own block; accuracies are reported in both scopes.
 
-    ``train_fn``/``predict_fn`` are injection points for tests: they default
-    to ``train`` and ``solve_with_model`` with the configured post-processing.
+    One forward pass per validation puzzle gives both its validation loss
+    and its prediction.  ``train_fn``/``predict_fn(tensor, inst)`` are
+    injection points for tests: they default to ``train`` and
+    ``postprocess`` with the configured mode.
     """
     n = len(dataset)
     if config.folds > n:
@@ -286,8 +339,8 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
     if train_fn is None:
         train_fn = train
     if predict_fn is None:
-        def predict_fn(params, inst):
-            return solve_with_model(params, inst.puzzle, config.postprocess_mode)
+        def predict_fn(tensor, inst):
+            return postprocess(tensor, inst.puzzle, config.postprocess_mode)
 
     canon = sorted(dataset, key=_canonical_key)
     perm = np.random.default_rng(config.seed).permutation(n)
@@ -301,10 +354,10 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
         params, history = train_fn(train_set, config, config.seed + fold_idx)
         acc_all, acc_empty, parts = [], [], []
         for inst in val_set:
-            predicted = predict_fn(params, inst)
+            tensor, _ = forward(params, encode_input(inst.puzzle))
+            predicted = predict_fn(tensor, inst)
             acc_all.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_ALL))
             acc_empty.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_EMPTY))
-            tensor, _ = forward(params, encode_input(inst.puzzle))
             parts.append(combined_loss(tensor, inst, config.loss))
         val_loss = LossBreakdown(
             standard=float(np.mean([p.standard for p in parts])),
@@ -350,7 +403,7 @@ CSV_COLUMNS = [
 
 def result_rows(result: ExperimentResult, n_puzzles: int, difficulty: float):
     """Flatten an ExperimentResult into one CSV row dict per fold."""
-    label = result.config.loss.ablation or "custom"
+    label = result.config.loss.ablation
     rows = []
     for fr in result.folds:
         rows.append({
@@ -387,7 +440,7 @@ class GridCell:
             return result_rows(self.result, self.n_puzzles, self.difficulty)
         row = dict.fromkeys(CSV_COLUMNS, "nan")
         row.update(n_puzzles=self.n_puzzles, difficulty=self.difficulty, fold=-1,
-                   ablation=self.config.loss.ablation or "custom",
+                   ablation=self.config.loss.ablation,
                    epochs=self.config.epochs, seed=self.config.seed)
         return [row]
 

@@ -236,7 +236,7 @@ def test_criterion_5_kfold_contract():
     def stub_train(train_set, cfg, init_seed):
         return init_params(init_seed), [0.0] * cfg.epochs
 
-    def truth_predict(params, inst):
+    def truth_predict(tensor, inst):
         validated.append(tuple(inst.puzzle.reshape(-1).tolist()))
         return inst.solution
 

@@ -8,8 +8,9 @@ import pytest
 from neurosudoku.cli import main
 from neurosudoku.engine import PROGRAM_RULES, solve
 from neurosudoku.grids import format_grid, is_valid_complete, parse_grid
-from neurosudoku.network import init_params, save_params
-from neurosudoku.training import CSV_COLUMNS, load_dataset
+from neurosudoku.losses import LossConfig, LossWeights, ablation_config
+from neurosudoku.network import init_params, load_params, save_params
+from neurosudoku.training import CSV_COLUMNS, TrainConfig, load_dataset, train
 
 
 def run_cli(*argv):
@@ -100,6 +101,38 @@ class TestTrainEval:
         assert rows[0]["epochs"] == "1"
         assert rows[0]["seed"] == "3"
 
+    @pytest.mark.parametrize("flags,label", [
+        (("--alpha", "1"), "all-combined"),
+        (("--ablation", "standard-only", "--gamma", "1"), "standard+expert"),
+        (("--beta", "0.3"), "custom"),
+    ])
+    def test_label_is_derived_from_the_weights(self, tmp_path, flags, label):
+        data = tmp_path / "data.jsonl"
+        out_csv = tmp_path / "r.csv"
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
+        assert run_cli("eval", "--data", str(data), "--csv-out", str(out_csv),
+                       "--epochs", "1", "--folds", "2", *flags) == 0
+        assert {r["ablation"] for r in csv.DictReader(open(out_csv))} == {label}
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(epochs=2, seed=4, lr=0.01, postprocess_mode="greedy-constrained",
+                    loss=LossConfig(LossWeights(0.5, 0.0, 2.0), "fixed-target")),
+        TrainConfig(epochs=1, folds=5, postprocess_mode="hybrid-complete",
+                    loss=ablation_config("standard+expert")),
+    ], ids=["custom", "ablation"])
+    def test_to_dict_as_config_file_runs_train(self, tmp_path, config):
+        data = tmp_path / "data.jsonl"
+        cfg = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config.to_dict()))
+        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
+        assert run_cli("--config", str(cfg), "train", "--data", str(data),
+                       "--model-out", str(model)) == 0
+        params, seed = load_params(model)
+        expected, _ = train(load_dataset(data), config, init_seed=config.seed)
+        assert seed == config.seed
+        assert np.array_equal(params.data, expected.data)
+
     def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         cfg = tmp_path / "config.json"
@@ -121,8 +154,11 @@ class TestTrainEval:
         ("train", ("--lr", "0"), "lr must be finite and > 0"),
         ("eval", ("--lr", "nan"), "lr must be finite and > 0"),
         ("eval", ("--lr", "inf"), "lr must be finite and > 0"),
+        ("train", ("--beta", "nan"), "weights must be nonnegative and finite"),
+        ("eval", ("--gamma", "inf"), "weights must be nonnegative and finite"),
     ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size",
-            "train-lr-negative", "train-lr-0", "eval-lr-nan", "eval-lr-inf"])
+            "train-lr-negative", "train-lr-0", "eval-lr-nan", "eval-lr-inf",
+            "train-weight-nan", "eval-weight-inf"])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
         data = tmp_path / "data.jsonl"
         run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
@@ -218,6 +254,21 @@ class TestTable1:
         assert code == 2
         assert "12x0.1" in capsys.readouterr().err
 
+    def test_malformed_seeds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t1"
+        assert run_cli("--out", str(out), "table1", "--rows", "4:0.1", "--seeds", "a") == 2
+        assert "bad --seeds: 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_global_seed_flag_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path / "t1"
+        argv = ["table1", "--rows", "4:0.1", "--seeds", "0"]
+        argv = ["--seed", "9", *argv] if where == "before" else [*argv, "--seed", "9"]
+        assert run_cli("--out", str(out), *argv) == 2
+        assert "does not read config keys 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--rows", "4:0.1", "--folds", "1"),
         ("--rows", "4:0.1", "--folds", "0"),
@@ -244,7 +295,9 @@ class TestTable1:
          "does not read config keys 'alpha', 'postprocess_mode'"),
         ({"beta": 0.5}, "does not read config keys 'beta'"),
         ({"gamma": 0.0}, "does not read config keys 'gamma'"),
-    ], ids=["folds", "constraint-mode", "alpha-postprocess-mode", "beta", "gamma"])
+        ({"ablation": "standard-only", "seed": 7}, "does not read config keys 'ablation', 'seed'"),
+    ], ids=["folds", "constraint-mode", "alpha-postprocess-mode", "beta", "gamma",
+            "ablation-seed"])
     def test_bad_config_values_exit_2_before_any_work(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
@@ -304,6 +357,61 @@ class TestTable1:
         assert len(lines) == 2
 
 
+class TestSettingTypes:
+    """A config-file value of the wrong type exits 2 and names its key."""
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("gen", "n_puzzles", None),
+        ("gen", "n_puzzles", 2.5),
+        ("gen", "seed", [0]),
+        ("gen", "difficulty", "0.1"),
+        ("gen", "n_puzzles", True),
+        ("train", "epochs", None),
+        ("train", "epochs", 1.9),
+        ("train", "epochs", [1]),
+        ("train", "epochs", {}),
+        ("train", "seed", 0.5),
+        ("train", "alpha", "1"),
+        ("train", "ablation", {}),
+        ("train", "constraint_mode", []),
+        ("eval", "folds", 2.5),
+        ("eval", "lr", None),
+        ("eval", "postprocess_mode", 1),
+        ("table1", "epochs", None),
+        ("table1", "epochs", 1.9),
+        ("table1", "folds", {}),
+        ("table1", "lr", [0.1]),
+        ("table1", "constraint_mode", 5),
+        ("solve", "postprocess_mode", None),
+    ])
+    def test_wrong_type_exits_2_and_names_the_key(self, tmp_path, capsys, model_file,
+                                                  command, key, value):
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--data-out", str(out)],
+            "train": ["train", "--data", str(data), "--model-out", str(out)],
+            "eval": ["eval", "--data", str(data), "--csv-out", str(out)],
+            "table1": ["--out", str(out), "table1", "--rows", "4:0.1", "--seeds", "0"],
+            "solve": ["solve", "--model", model_file, "." * 81],
+        }[command]
+        capsys.readouterr()
+        assert run_cli("--config", str(cfg), *argv) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "Error" not in captured.err  # no exception type leaks through
+        assert not out.exists() and not captured.out
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_puzzles": 2.0}))
+        assert run_cli("--config", str(cfg), "gen", "--data-out", str(tmp_path / "d.jsonl")) == 0
+        assert len(load_dataset(tmp_path / "d.jsonl")) == 2
+
+
 class TestSolve:
     def test_fully_given_puzzle_echoes(self, model_file, solved_grid, capsys):
         text = format_grid(solved_grid)
@@ -327,6 +435,12 @@ class TestSolve:
         assert code == 0
         line = capsys.readouterr().out.strip().splitlines()[0]
         assert is_valid_complete(parse_grid(line))
+
+    def test_unknown_postprocess_mode_in_config_exits_2(self, model_file, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"postprocess_mode": "magic"}))
+        assert run_cli("--config", str(cfg), "solve", "--model", model_file, "." * 81) == 2
+        assert "unknown postprocess mode: 'magic'" in capsys.readouterr().err
 
     def test_render_requires_solution(self, model_file, capsys):
         code = run_cli("solve", "--model", model_file, "." * 81, "--render")

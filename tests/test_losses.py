@@ -231,6 +231,16 @@ class TestAblationConfig:
     def test_all_labels_enumerable(self):
         assert len(ABLATIONS) == 4
 
+    @pytest.mark.parametrize("weights,label", [
+        ((1, 0, 1), "standard+expert"),
+        ((1.0, 1.0, 1.0), "all-combined"),
+        ((0.5, 0, 1), "custom"),
+        ((2, 2, 2), "custom"),
+        ((0, 1, 0), "custom"),
+    ])
+    def test_label_derived_from_weights(self, weights, label):
+        assert LossConfig(weights=LossWeights(*weights)).ablation == label
+
 
 class TestLossConfigValidation:
     def test_negative_weight_rejected(self):
@@ -241,21 +251,9 @@ class TestLossConfigValidation:
         with pytest.raises(ValueError):
             LossWeights(0, 0, 0)
 
-    def test_label_weight_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            LossConfig(weights=LossWeights(1, 1, 0), ablation="standard-only")
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="constraint mode"):
             LossConfig(weights=LossWeights(1, 0, 0), constraint_mode="mystery")
-
-    def test_dict_round_trip(self):
-        config = ablation_config("standard+constraints", MODE_FIXED_TARGET)
-        assert LossConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_with_label_only(self):
-        config = LossConfig.from_dict({"ablation": "standard+expert"})
-        assert config.weights == LossWeights(1.0, 0.0, 1.0)
 
 
 class TestTensorGradients:

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from neurosudoku.engine import generate_solved, mask_puzzle, solve
 from neurosudoku.grids import format_grid, is_valid_complete
-from neurosudoku.losses import ablation_config, combined_loss_grad
+from neurosudoku.losses import (
+    ABLATIONS,
+    CONSTRAINT_MODES,
+    LossConfig,
+    LossWeights,
+    ablation_config,
+    combined_loss_grad,
+)
 from neurosudoku.network import (
     N_PARAMS,
     PARAM_FIELDS,
@@ -28,6 +36,7 @@ from neurosudoku.training import (
     MODE_ARGMAX,
     MODE_GREEDY,
     MODE_HYBRID,
+    POSTPROCESS_MODES,
     DatasetError,
     GridCell,
     TrainConfig,
@@ -179,7 +188,7 @@ class TestKFold:
             train_sizes.append(len(train_set))
             return init_params(init_seed), [0.0] * cfg.epochs
 
-        def spy_predict(params, inst):
+        def spy_predict(tensor, inst):
             seen.append(format_grid(inst.puzzle))
             return inst.solution
 
@@ -199,7 +208,7 @@ class TestKFold:
         result = kfold_evaluate(
             dataset, config,
             train_fn=stub_train,
-            predict_fn=lambda params, inst: inst.solution,
+            predict_fn=lambda tensor, inst: inst.solution,
         )
         assert result.mean_all == 1.0
         assert result.std_all == 0.0
@@ -217,7 +226,7 @@ class TestKFold:
 
         fold_val_sets = []
 
-        def spy_predict(params, inst):
+        def spy_predict(tensor, inst):
             fold_val_sets.append(format_grid(inst.puzzle))
             return inst.solution
 
@@ -242,6 +251,18 @@ class TestKFold:
         dataset = build_dataset(2, 0.1, 0)
         with pytest.raises(ValueError, match="folds"):
             kfold_evaluate(dataset, TrainConfig(epochs=1, folds=3))
+
+    def test_one_forward_pass_per_validation_puzzle(self, monkeypatch):
+        calls = []
+        real_forward = training.forward
+
+        def counting_forward(params, x):
+            calls.append(x)
+            return real_forward(params, x)
+
+        monkeypatch.setattr(training, "forward", counting_forward)
+        kfold_evaluate(build_dataset(12, 0.1, 0), TrainConfig(epochs=2, folds=3))
+        assert len(calls) == 3 * 8 * 2 + 12  # each fold's training steps, then each validation puzzle
 
     def test_history_recorded_per_fold(self):
         dataset = build_dataset(4, 0.1, 1)
@@ -453,7 +474,54 @@ class TestRunGrid:
         assert all(math.isnan(float(row["acc_all"])) for row in rows if row["fold"] == -1)
 
 
+_weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_loss_configs = st.one_of(
+    st.builds(ablation_config, st.sampled_from(ABLATIONS), st.sampled_from(CONSTRAINT_MODES)),
+    st.builds(
+        LossConfig,
+        st.tuples(_weight, _weight, _weight).filter(any).map(lambda w: LossWeights(*w)),
+        st.sampled_from(CONSTRAINT_MODES),
+    ),
+)
+_train_configs = st.builds(
+    TrainConfig,
+    epochs=st.integers(1, 10**6),
+    folds=st.integers(2, 100),
+    seed=st.integers(-2**31, 2**63),
+    loss=_loss_configs,
+    lr=st.floats(min_value=1e-12, max_value=1e3),
+    postprocess_mode=st.sampled_from(POSTPROCESS_MODES),
+)
+
+
 class TestConfigSerialization:
+    @given(config=_train_configs)
+    def test_dict_round_trip(self, config):
+        assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_empty_dict_is_the_default_config(self):
+        assert TrainConfig.from_dict({}) == TrainConfig()
+        assert TrainConfig().loss.ablation == "all-combined"
+
+    def test_from_dict_with_label_only(self):
+        config = TrainConfig.from_dict({"ablation": "standard+expert"})
+        assert config.loss.weights == LossWeights(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("data,weights,label", [
+        ({"alpha": 0.5}, (0.5, 1.0, 1.0), "custom"),
+        ({"ablation": "standard+expert", "alpha": 0.5}, (0.5, 0.0, 1.0), "custom"),
+        ({"ablation": "standard-only", "gamma": 1}, (1.0, 0.0, 1.0), "standard+expert"),
+        ({"ablation": "custom", "alpha": 0, "beta": 2, "gamma": 0}, (0.0, 2.0, 0.0), "custom"),
+    ])
+    def test_stated_weights_replace_the_label_weights(self, data, weights, label):
+        loss = TrainConfig.from_dict(data).loss
+        assert (loss.weights.alpha, loss.weights.beta, loss.weights.gamma) == weights
+        assert loss.ablation == label
+
+    def test_custom_label_needs_all_three_weights(self):
+        with pytest.raises(ValueError, match="'custom' needs alpha, beta and gamma"):
+            TrainConfig.from_dict({"ablation": "custom", "alpha": 1, "beta": 1})
+
     def test_round_trip(self):
         config = TrainConfig(
             epochs=50, folds=4, seed=9,
