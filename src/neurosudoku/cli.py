@@ -5,10 +5,15 @@ checkpoint), ``eval`` (k-fold evaluation of a dataset), ``table1`` (the full
 ablation grid with CSV and SVG outputs), ``solve`` (model-based solving with
 optional comparison rendering), ``export-asp`` (logic-program export).
 
-Global flags: ``--seed``, ``--config <json>`` (experiment config file; a
-flag the user sets overrides its key), ``--out <dir>``, ``--profile
-quick|full``.  Exit code 0 iff all requested work succeeded; usage and
-input-format errors exit 2, runtime failures exit 1.
+Each subcommand takes exactly the flags it reads.  Of the shared ones,
+``--config <json>`` (experiment config file; a flag the user sets overrides
+its key) is read by all but ``export-asp``, ``--out <dir>`` by all but
+``solve``, ``--seed`` by ``gen``, ``train`` and ``eval``, and ``--profile
+quick|full`` by ``table1`` only.  A ``--flag value`` or ``--flag=value``
+before the subcommand is shorthand for the same flag after it.  Exit code 0
+iff all requested work succeeded; a flag the subcommand does not read and
+every ``ValueError`` (the library's type for bad input) exit 2, runtime
+failures exit 1.
 """
 
 from __future__ import annotations
@@ -47,8 +52,11 @@ def _fail(message: str, code: int = 1) -> int:
 def _load_config_file(path):
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing or malformed file is a usage error
+        raise ValueError(f"cannot load config: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
@@ -60,14 +68,6 @@ def _load_config_file(path):
     return data
 
 
-def _parse_puzzle_arg(text: str):
-    try:
-        return grids.parse_grid(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _difficulty(value) -> float:
     """A difficulty in (0, 1); ValueError otherwise."""
     difficulty = float(value)
@@ -77,14 +77,11 @@ def _difficulty(value) -> float:
 
 
 def cmd_gen(args, settings: dict) -> int:
-    try:
-        seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
-        n = training.read_setting(settings, "n_puzzles", int, 12)
-        difficulty = _difficulty(training.read_setting(settings, "difficulty", float, 0.1))
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
+    n = training.read_setting(settings, "n_puzzles", int, 12)
+    difficulty = _difficulty(training.read_setting(settings, "difficulty", float, 0.1))
     if n < 1:
-        return _fail(f"--n must be >= 1, got {n}", 2)
+        raise ValueError(f"--n must be >= 1, got {n}")
     out_path = args.data_out or os.path.join(args.out, "dataset.jsonl")
     dataset = training.build_dataset(n, difficulty, seed)
     try:
@@ -96,14 +93,9 @@ def cmd_gen(args, settings: dict) -> int:
 
 
 def cmd_train(args, settings: dict) -> int:
-    try:
-        cfg = training.TrainConfig.from_dict(settings)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    cfg = training.TrainConfig.from_dict(settings)
     try:
         dataset = training.load_dataset(args.data)
-    except training.DatasetError as exc:
-        return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
     params, history = training.train(dataset, cfg, init_seed=cfg.seed)
@@ -119,18 +111,13 @@ def cmd_train(args, settings: dict) -> int:
 
 
 def cmd_eval(args, settings: dict) -> int:
-    try:
-        cfg = training.TrainConfig.from_dict(settings)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    cfg = training.TrainConfig.from_dict(settings)
     try:
         dataset = training.load_dataset(args.data)
-    except training.DatasetError as exc:
-        return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"cannot read dataset {args.data}: {exc}")
     if len(dataset) < cfg.folds:
-        return _fail(f"{args.data} has {len(dataset)} puzzles, fewer than folds={cfg.folds}", 2)
+        raise ValueError(f"{args.data} has {len(dataset)} puzzles, fewer than folds={cfg.folds}")
     result = training.kfold_evaluate(dataset, cfg)
     difficulty = dataset[0].difficulty if dataset else 0.0
     rows = training.result_rows(result, len(dataset), difficulty)
@@ -159,29 +146,26 @@ def _parse_rows(text: str):
 def cmd_table1(args, settings: dict) -> int:
     unread = sorted(set(settings) - set(TABLE1_KEYS))
     if unread:  # from the config file or a flag: table1 runs its own seeds and ablations
-        return _fail(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
-                     f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)", 2)
+        raise ValueError(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
+                         f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)")
     try:
         rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
     except ValueError as exc:
-        return _fail(f"bad --rows: {exc}", 2)
+        raise ValueError(f"bad --rows: {exc}") from None
     if args.profile == "quick":
         rows = [(n, d) for n, d in rows if n <= 12]
     ablations = args.ablations.split(",") if args.ablations else list(ABLATIONS)
     for label in ablations:
         if label not in ABLATIONS:
-            return _fail(f"unknown ablation label: {label!r}", 2)
+            raise ValueError(f"unknown ablation label: {label!r}")
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_TABLE1_SEEDS)
     except ValueError:
-        return _fail(f"bad --seeds: {args.seeds!r} is not a comma list of integers", 2)
-    try:
-        run = training.TrainConfig.from_dict(settings)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise ValueError(f"bad --seeds: {args.seeds!r} is not a comma list of integers") from None
+    run = training.TrainConfig.from_dict(settings)
     for n, difficulty in rows:
         if n < run.folds:
-            return _fail(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}", 2)
+            raise ValueError(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}")
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []
@@ -209,31 +193,33 @@ def cmd_table1(args, settings: dict) -> int:
 
 
 def cmd_solve(args, settings: dict) -> int:
-    puzzle = _parse_puzzle_arg(args.puzzle)
+    puzzle = grids.parse_grid(args.puzzle)
     if not grids.is_consistent_partial(puzzle):
-        return _fail("puzzle givens are inconsistent (duplicate digit in a unit)", 2)
-    try:
-        mode = training.read_setting(settings, "postprocess_mode", str,
-                                     training.TrainConfig.postprocess_mode)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise ValueError("puzzle givens are inconsistent (duplicate digit in a unit)")
+    mode = training.read_setting(settings, "postprocess_mode", str,
+                                 training.TrainConfig.postprocess_mode)
     if mode not in training.POSTPROCESS_MODES:
-        return _fail(f"unknown postprocess mode: {mode!r}", 2)
+        raise ValueError(f"unknown postprocess mode: {mode!r}")
+    solution = None
+    if args.solution is not None:
+        solution = grids.parse_grid(args.solution)
+        if not grids.is_valid_complete(solution):
+            raise ValueError("--solution is not a valid complete grid")
+        given = puzzle != 0
+        if not (solution[given] == puzzle[given]).all():
+            raise ValueError("--solution disagrees with the puzzle's givens")
+    elif args.render or args.render_svg:
+        raise ValueError("--render and --render-svg need --solution to compare against")
     try:
         params, _ = network.load_params(args.model)
-    except network.CheckpointError as exc:
-        return _fail(str(exc))
     except OSError as exc:
         return _fail(f"cannot read checkpoint {args.model}: {exc}")
     predicted = training.solve_with_model(params, puzzle, mode)
     print(grids.format_grid(predicted))
-    rendered = None
-    if args.solution:
-        solution = _parse_puzzle_arg(args.solution)
-        rendered = charts.render_prediction(predicted, solution, puzzle == 0)
+    if solution is None:
+        return 0
+    rendered = charts.render_prediction(predicted, solution, puzzle == 0)
     if args.render:
-        if rendered is None:
-            return _fail("--render needs --solution to compare against", 2)
         print(charts.grid_to_text(rendered, color=not args.no_color))
         correct = sum(
             row.count(charts.STATUS_CORRECT) for row in rendered.status
@@ -243,8 +229,6 @@ def cmd_solve(args, settings: dict) -> int:
         )
         print(f"predicted cells correct: {correct}/{predicted_cells}")
     if args.render_svg:
-        if rendered is None:
-            return _fail("--render-svg needs --solution to compare against", 2)
         try:
             with open(args.render_svg, "w", encoding="utf-8") as fh:
                 fh.write(charts.grid_to_svg(rendered))
@@ -255,8 +239,7 @@ def cmd_solve(args, settings: dict) -> int:
 
 
 def cmd_export_asp(args, settings: dict) -> int:
-    puzzle = _parse_puzzle_arg(args.puzzle)
-    program = engine.emit_asp_program(puzzle)
+    program = engine.emit_asp_program(grids.parse_grid(args.puzzle))
     out_path = args.asp_out or os.path.join(args.out, "puzzle.lp")
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -267,38 +250,37 @@ def cmd_export_asp(args, settings: dict) -> int:
     return 0
 
 
-GLOBAL_DEFAULTS = {"seed": None, "config": None, "out": ".", "profile": "full"}
+SHARED_FLAGS = {
+    "--config": dict(help="experiment config JSON file"),
+    "--out": dict(default=".", help="output directory (default .)"),
+    "--seed": dict(type=int, help="base RNG seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="base RNG seed")
-    shared.add_argument("--config", default=argparse.SUPPRESS,
-                        help="experiment config JSON file")
-    shared.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (default .)")
-    shared.add_argument("--profile", choices=("quick", "full"), default=argparse.SUPPRESS,
-                        help="table1 scope: quick = 12-puzzle rows only")
-
+    # allow_abbrev=False everywhere: an abbreviation such as --ablation for
+    # table1's --ablations would be read as that other flag without a word
     parser = argparse.ArgumentParser(
         prog="neurosudoku",
         description="neural-symbolic Sudoku: datasets, training, ablations, solving",
-        parents=[shared],
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, **kwargs):
-        return subparsers.add_parser(name, parents=[shared], **kwargs)
+    def subcommand(name, func, shared, **kwargs):
+        p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = subcommand("gen", help="generate a puzzle dataset (JSON lines)")
+    p = subcommand("gen", cmd_gen, ("--config", "--out", "--seed"),
+                   help="generate a puzzle dataset (JSON lines)")
     p.add_argument("--n", dest="n_puzzles", type=int, default=None,
                    help="number of puzzles (default 12)")
     p.add_argument("--difficulty", type=float, default=None,
                    help="fraction of cells masked, in (0,1); default 0.1")
     p.add_argument("--data-out", default=None, help="dataset path (default OUT/dataset.jsonl)")
-    p.set_defaults(func=cmd_gen)
 
     def add_run_flags(q):
         q.add_argument("--epochs", type=int, default=None)
@@ -314,68 +296,76 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--gamma", type=float, default=None)
         q.add_argument("--postprocess-mode", choices=training.POSTPROCESS_MODES, default=None)
 
-    p = subcommand("train", help="train a model on a dataset, save a checkpoint")
+    p = subcommand("train", cmd_train, ("--config", "--out", "--seed"),
+                   help="train a model on a dataset, save a checkpoint")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
     p.add_argument("--model-out", default=None, help="checkpoint path (default OUT/model.json)")
     add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = subcommand("eval", help="k-fold evaluation of a dataset")
+    p = subcommand("eval", cmd_eval, ("--config", "--out", "--seed"),
+                   help="k-fold evaluation of a dataset")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
     p.add_argument("--csv-out", default=None, help="results path (default OUT/results.csv)")
     add_train_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = subcommand("table1", help="run the ablation grid, write CSV and charts")
+    p = subcommand("table1", cmd_table1, ("--config", "--out"),
+                   help="run the ablation grid, write CSV and charts")
+    p.add_argument("--profile", choices=("quick", "full"), default="full",
+                   help="quick = 12-puzzle rows only")
     p.add_argument("--rows", default=None,
                    help="comma list of n:difficulty cells (default the full grid)")
     p.add_argument("--ablations", default=None, help="comma list of ablation labels")
     p.add_argument("--seeds", default=None, help="comma list of base seeds (default 0,1,2)")
     p.add_argument("--chart-style", choices=("bars", "lines"), default="bars")
     add_run_flags(p)
-    p.set_defaults(func=cmd_table1)
 
-    p = subcommand("solve", help="solve a puzzle with a trained model")
+    p = subcommand("solve", cmd_solve, ("--config",),
+                   help="solve a puzzle with a trained model")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("puzzle", help="81-character puzzle ('.' or '0' = empty)")
     p.add_argument("--postprocess-mode", choices=training.POSTPROCESS_MODES, default=None)
-    p.add_argument("--solution", default=None, help="known solution for comparison")
+    p.add_argument("--solution", default=None,
+                   help="the puzzle's complete solution, for comparison")
     p.add_argument("--render", action="store_true",
                    help="print a colored comparison grid (needs --solution)")
     p.add_argument("--render-svg", default=None,
                    help="write a comparison SVG (needs --solution)")
     p.add_argument("--no-color", action="store_true", help="disable ANSI colors")
-    p.set_defaults(func=cmd_solve)
 
-    p = subcommand("export-asp", help="write the puzzle's logic program")
+    p = subcommand("export-asp", cmd_export_asp, ("--out",),
+                   help="write the puzzle's logic program")
     p.add_argument("puzzle", help="81-character puzzle ('.' or '0' = empty)")
     p.add_argument("--asp-out", default=None, help="program path (default OUT/puzzle.lp)")
-    p.set_defaults(func=cmd_export_asp)
 
     return parser
 
 
+def _subcommand_first(argv: list) -> list:
+    """Move the ``--flag value`` and ``--flag=value`` arguments before the
+    subcommand to just after it, where the subcommand's parser reads them."""
+    lead = 0
+    while lead < len(argv) and argv[lead].startswith("--"):
+        lead += 1 if "=" in argv[lead] else 2
+    return argv[lead:lead + 1] + argv[:lead] + argv[lead + 1:]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, default in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_subcommand_first(argv))
     try:
-        config = _load_config_file(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load config: {exc}", 2)
-    # the one merge of file and flags: a flag the user set overrides the file's key
-    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
-    if args.out != "." and args.command != "table1":
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            return _fail(f"cannot create output directory {args.out}: {exc}")
-    try:
+        config = _load_config_file(getattr(args, "config", None))
+        # the one merge of file and flags: a flag the user set overrides the file's key
+        flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+        settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
+        out = getattr(args, "out", ".")
+        if out != "." and args.command != "table1":
+            try:
+                os.makedirs(out, exist_ok=True)
+            except OSError as exc:
+                return _fail(f"cannot create output directory {out}: {exc}")
         return args.func(args, settings)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except ValueError as exc:  # bad input, whichever layer found it
+        return _fail(str(exc), 2)
     except Exception as exc:  # last-resort: report, nonzero exit
         return _fail(f"{type(exc).__name__}: {exc}")
 

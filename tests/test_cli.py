@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -192,6 +193,32 @@ class TestTrainEval:
         assert "Error:" not in err  # no exception type leaks through
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_dataset_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        out = tmp_path / "result"
+        flag = "--model-out" if command == "train" else "--csv-out"
+        assert run_cli(command, "--data", str(data), flag, str(out), "--epochs", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ValueError" not in err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        from neurosudoku import training
+        from neurosudoku.network import NumericOverflowError
+
+        def overflow(dataset, config, init_seed):
+            raise NumericOverflowError("numeric overflow in the hidden layer")
+
+        data = tmp_path / "data.jsonl"
+        model = tmp_path / "model.json"
+        run_cli("gen", "--n", "2", "--difficulty", "0.1", "--data-out", str(data))
+        monkeypatch.setattr(training, "train", overflow)
+        assert run_cli("train", "--data", str(data), "--model-out", str(model)) == 1
+        assert "NumericOverflowError: numeric overflow" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_every_documented_config_key_accepted(self, tmp_path):
         from neurosudoku.cli import CONFIG_KEYS
 
@@ -258,15 +285,6 @@ class TestTable1:
         out = tmp_path / "t1"
         assert run_cli("--out", str(out), "table1", "--rows", "4:0.1", "--seeds", "a") == 2
         assert "bad --seeds: 'a'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("where", ["before", "after"])
-    def test_global_seed_flag_exits_2(self, tmp_path, capsys, where):
-        out = tmp_path / "t1"
-        argv = ["table1", "--rows", "4:0.1", "--seeds", "0"]
-        argv = ["--seed", "9", *argv] if where == "before" else [*argv, "--seed", "9"]
-        assert run_cli("--out", str(out), *argv) == 2
-        assert "does not read config keys 'seed'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -468,12 +486,104 @@ class TestSolve:
         statuses = {el.get("data-status") for el in cells}
         assert "given" in statuses
 
+    @pytest.mark.parametrize("case", [
+        "render-without-solution", "render-svg-without-solution", "solution-80-characters",
+        "solution-incomplete", "solution-disagrees-with-givens",
+    ])
+    def test_usage_errors_exit_2_before_the_model_is_read(self, solved_grid, tmp_path, capsys,
+                                                          case):
+        puzzle = solved_grid.copy()
+        puzzle[0, :3] = 0
+        svg = tmp_path / "grid.svg"
+        flags = {
+            "render-without-solution": ["--render"],
+            "render-svg-without-solution": ["--render-svg", str(svg)],
+            "solution-80-characters": ["--solution", "1" * 80, "--render"],
+            "solution-incomplete": ["--solution", format_grid(puzzle), "--render"],
+            # a digit relabeling: a valid complete grid that differs in every cell
+            "solution-disagrees-with-givens": ["--solution", format_grid(solved_grid % 9 + 1)],
+        }[case]
+        # the model file does not exist: reading it would exit 1
+        code = run_cli("solve", "--model", str(tmp_path / "missing.json"), format_grid(puzzle),
+                       *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and not captured.out
+        assert not svg.exists()
+
     def test_bad_checkpoint_reports_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "other", "version": 0}')
         code = run_cli("solve", "--model", str(bad), "." * 81)
-        assert code == 1
+        assert code == 2
         assert "format" in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags it reads; a flag before the
+    subcommand is shorthand for the same flag after it."""
+
+    COMMANDS = {
+        "gen": ["gen", "--n", "2"],
+        "train": ["train", "--data", "data.jsonl", "--epochs", "1"],
+        "eval": ["eval", "--data", "data.jsonl", "--epochs", "1", "--folds", "2"],
+        "table1": ["table1", "--rows", "4:0.1", "--seeds", "0", "--epochs", "1", "--folds", "2",
+                   "--ablations", "standard-only"],
+        "solve": ["solve", "--model", "model.json", "." * 81],
+        "export-asp": ["export-asp", "." * 81],
+    }
+    UNREAD = [
+        ("table1", "--seed", "9"), ("solve", "--seed", "9"), ("export-asp", "--seed", "9"),
+        ("gen", "--profile", "quick"), ("train", "--profile", "quick"),
+        ("eval", "--profile", "quick"), ("solve", "--profile", "quick"),
+        ("export-asp", "--profile", "quick"),
+        ("solve", "--out", "newdir"), ("export-asp", "--config", "config.json"),
+    ]
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, model_file):
+        """A directory holding a dataset, a model and a config file, made the cwd,
+        so every command's default outputs would land in it."""
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(tmp_path / "data.jsonl"))
+        (tmp_path / "config.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("command,flag,value", UNREAD,
+                             ids=[f"{c}-{f.lstrip('-')}" for c, f, _ in UNREAD])
+    def test_unread_flag_exits_2(self, workdir, command, flag, value, where):
+        argv = self.COMMANDS[command]
+        argv = [flag, value, *argv] if where == "before" else [*argv, flag, value]
+        before = sorted(os.listdir(workdir))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert sorted(os.listdir(workdir)) == before
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--rows", "4:0.1", "--seeds", "0", "--epochs", "1", "--folds", "2",
+         "--ablation", "standard-only"),
+        ("gen", "--n", "2", "--diff", "0.3"),
+    ], ids=["table1-ablation", "gen-diff"])
+    def test_abbreviated_flag_exits_2(self, workdir, argv):
+        before = sorted(os.listdir(workdir))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert sorted(os.listdir(workdir)) == before
+
+    def test_flag_before_subcommand_means_the_same(self, tmp_path):
+        a, b, c = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
+        assert run_cli("--seed", "5", "gen", "--n", "3", "--data-out", str(a)) == 0
+        assert run_cli("gen", "--seed", "5", "--n", "3", "--data-out", str(b)) == 0
+        assert run_cli("gen", "--n", "3", "--data-out", str(c)) == 0
+        assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("out", [("--out=gen",), ("--out", "gen")], ids=["equals", "space"])
+    def test_flag_value_may_name_a_subcommand(self, workdir, out):
+        assert run_cli(*out, *self.COMMANDS["table1"]) == 0
+        assert (workdir / "gen" / "table1.csv").exists()
 
 
 class TestRendering:

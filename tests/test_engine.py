@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurosudoku.engine import (
     BridgeProtocolError,
@@ -81,6 +83,20 @@ class TestSolve:
             ours = solve(inst.puzzle, 100)
             naive_solutions, _ = solve_naive(inst.puzzle, 100)
             assert grids_as_set(ours.solutions) == grids_as_set(naive_solutions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_empty=st.integers(0, 50), limit=st.integers(1, 20))
+    def test_matches_naive_oracle_on_random_masks(self, seed, n_empty, limit):
+        puzzle = generate_solved(seed).reshape(-1)
+        puzzle[np.random.default_rng(seed).permutation(81)[:n_empty]] = 0
+        puzzle = puzzle.reshape(9, 9)
+        ours = solve(puzzle, limit)
+        naive_solutions, naive_exhausted = solve_naive(puzzle, limit)
+        assert len(ours.solutions) == len(naive_solutions)
+        assert ours.exhausted == naive_exhausted
+        if ours.exhausted:  # a search cut at the limit may keep other solutions
+            assert grids_as_set(ours.solutions) == grids_as_set(naive_solutions)
+        assert_sound(ours, puzzle)
 
     def test_deterministic_enumeration_order(self, solved_grid):
         puzzle = np.where(mask_puzzle(solved_grid, 0.6, 9).mask, 0, solved_grid)

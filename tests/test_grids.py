@@ -186,6 +186,12 @@ class TestTextFormat:
     def test_round_trip(self, solved_grid):
         assert (parse_grid(format_grid(solved_grid)) == solved_grid).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.integers(0, 9), min_size=81, max_size=81))
+    def test_round_trip_any_grid(self, cells):
+        grid = np.array(cells).reshape(9, 9)
+        assert (parse_grid(format_grid(grid)) == grid).all()
+
     def test_dots_and_zeros_both_parse_as_empty(self):
         line_dots = "." * 81
         line_zeros = "0" * 81
