@@ -76,6 +76,13 @@ def _difficulty(value) -> float:
     return difficulty
 
 
+def _make_out_dir(args, explicit_path) -> None:
+    """Create ``--out`` if the output goes there by default.  Commands call it
+    just before their first write, so a usage error leaves no directory."""
+    if not explicit_path:
+        os.makedirs(args.out, exist_ok=True)
+
+
 def cmd_gen(args, settings: dict) -> int:
     seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
     n = training.read_setting(settings, "n_puzzles", int, 12)
@@ -85,6 +92,7 @@ def cmd_gen(args, settings: dict) -> int:
     out_path = args.data_out or os.path.join(args.out, "dataset.jsonl")
     dataset = training.build_dataset(n, difficulty, seed)
     try:
+        _make_out_dir(args, args.data_out)
         training.save_dataset(dataset, out_path)
     except OSError as exc:
         return _fail(f"cannot write dataset to {out_path}: {exc}")
@@ -101,6 +109,7 @@ def cmd_train(args, settings: dict) -> int:
     params, history = training.train(dataset, cfg, init_seed=cfg.seed)
     model_path = args.model_out or os.path.join(args.out, "model.json")
     try:
+        _make_out_dir(args, args.model_out)
         network.save_params(params, model_path, seed=cfg.seed)
     except OSError as exc:
         return _fail(f"cannot write checkpoint to {model_path}: {exc}")
@@ -123,6 +132,7 @@ def cmd_eval(args, settings: dict) -> int:
     rows = training.result_rows(result, len(dataset), difficulty)
     csv_path = args.csv_out or os.path.join(args.out, "results.csv")
     try:
+        _make_out_dir(args, args.csv_out)
         training.write_results_csv(rows, csv_path)
     except OSError as exc:
         return _fail(f"cannot write results to {csv_path}: {exc}")
@@ -242,6 +252,7 @@ def cmd_export_asp(args, settings: dict) -> int:
     program = engine.emit_asp_program(grids.parse_grid(args.puzzle))
     out_path = args.asp_out or os.path.join(args.out, "puzzle.lp")
     try:
+        _make_out_dir(args, args.asp_out)
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(program)
     except OSError as exc:
@@ -342,11 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _subcommand_first(argv: list) -> list:
     """Move the ``--flag value`` and ``--flag=value`` arguments before the
-    subcommand to just after it, where the subcommand's parser reads them."""
+    subcommand to the end, where the subcommand's parser reads them and, for
+    a flag it does not take, names the flag and its value, not a positional."""
     lead = 0
     while lead < len(argv) and argv[lead].startswith("--"):
         lead += 1 if "=" in argv[lead] else 2
-    return argv[lead:lead + 1] + argv[:lead] + argv[lead + 1:]
+    return argv[lead:] + argv[:lead]
 
 
 def main(argv=None) -> int:
@@ -357,12 +369,6 @@ def main(argv=None) -> int:
         # the one merge of file and flags: a flag the user set overrides the file's key
         flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
         settings = {**config, **{key: value for key, value in flags.items() if value is not None}}
-        out = getattr(args, "out", ".")
-        if out != "." and args.command != "table1":
-            try:
-                os.makedirs(out, exist_ok=True)
-            except OSError as exc:
-                return _fail(f"cannot create output directory {out}: {exc}")
         return args.func(args, settings)
     except ValueError as exc:  # bad input, whichever layer found it
         return _fail(str(exc), 2)

@@ -7,6 +7,26 @@ top: the branch variable is the undecided cell with the fewest remaining
 candidates (ties broken row-major) and candidate digits are tried in
 ascending order, so enumeration order is deterministic.
 
+Naked singles alone leave a heavy tail at difficulty 0.8: a first-solution
+search there took 2.27M nodes (20 s) on one puzzle and 14.6M (91 s) on
+another.  So once a search has hit ``HIDDEN_SINGLES_AFTER`` dead ends (a
+branch that propagation refutes), every further node also runs the
+hidden-single rule to a fixpoint: a digit with one place left in a unit is
+placed there, and a unit with no place left for a digit fails the node.
+The rule is sound, so solution sets and counts do not change, and those
+tail searches take about 200 nodes and 4 ms.  The pass scans all 27 units
+at every node, which would slow every search if it were always on; the
+switch at 64 keeps ordinary searches on naked singles alone.  Measured with
+naked singles alone: first-solution searches over seeds 1000..1299 (1104
+aside) hit a median of 0 to 1 dead ends at difficulty 0.3, 0.6 and 0.8, and
+a 99th percentile of 0, 18 and 384; counts capped at 100 over seeds 0..99
+hit medians of 4 and 13 at 0.6 and 0.8; uniqueness checks of 0.6 masks hit
+a 99th percentile of 16; ``generate_solved`` hits at most 8 over seeds
+0..4999, so it returns the same grids.  The tails hit far more: up to 523k
+dead ends in a first-solution search and 1.1M in a capped count.  Only a
+search that switches can return a different first solution of a puzzle with
+several.
+
 The same constraint system can be exported as a logic program over
 ``cell(Row,Col,Val)`` atoms and handed to an external solver binary for
 cross-validation (see ``external_solve``).
@@ -54,12 +74,18 @@ PEERS = tuple(
     tuple(sorted(set(UNITS[CELL_UNITS[cell]].ravel().tolist()) - {cell}))
     for cell in range(N_CELLS)
 )
+UNIT_CELLS = tuple(tuple(unit) for unit in UNITS.tolist())
+
+# Dead ends a search may hit before every node also places hidden singles.
+HIDDEN_SINGLES_AFTER = 64
 
 
 @dataclass
 class SolveStats:
     nodes: int = 0  # branch decisions tried by the search
     propagations: int = 0  # forced single-candidate assignments
+    dead_ends: int = 0  # branches refuted by propagation
+    hidden_singles: int = 0  # digits placed at their one place left in a unit
 
 
 @dataclass
@@ -97,6 +123,37 @@ def _bits_ascending(mask: int):
         mask ^= b
 
 
+def _place_hidden_singles(cands: list, stats: SolveStats) -> bool:
+    """Place every digit left with one cell in a unit, to a fixpoint.  False
+    when a unit has no place left for a digit, which covers one cell being
+    the only place for two digits."""
+    placed = True
+    while placed:
+        placed = False
+        for unit in UNIT_CELLS:
+            seen = twice = decided = 0
+            for c in unit:
+                m = cands[c]
+                twice |= seen & m
+                seen |= m
+                if m & (m - 1) == 0:
+                    decided |= m
+            if seen != ALL_DIGITS:
+                return False
+            for bit in _bits_ascending(seen & ~twice & ~decided):
+                # the digit's one place is gone if an earlier placement took
+                # it for another digit or propagation removed the digit there
+                cell = next((c for c in unit if cands[c] & bit), -1)
+                if cell < 0:
+                    return False
+                if cands[cell] != bit:
+                    stats.hidden_singles += 1
+                    placed = True
+                    if not _assign(cands, cell, bit, stats):
+                        return False
+    return True
+
+
 def _pick_cell(cands: list) -> int:
     """Undecided cell with fewest candidates, ties row-major; -1 if all decided."""
     best, best_n = -1, 10
@@ -117,6 +174,9 @@ def _cands_to_grid(cands: list) -> np.ndarray:
 
 def _search(cands, out, limit, stats, order_bits) -> bool:
     """Enumerate completions depth-first.  Returns False once ``limit`` is hit."""
+    if stats.dead_ends >= HIDDEN_SINGLES_AFTER and not _place_hidden_singles(cands, stats):
+        stats.dead_ends += 1
+        return True
     cell = _pick_cell(cands)
     if cell < 0:
         out.append(_cands_to_grid(cands))
@@ -124,9 +184,10 @@ def _search(cands, out, limit, stats, order_bits) -> bool:
     for bit in order_bits(cands[cell]):
         stats.nodes += 1
         child = cands.copy()
-        if _assign(child, cell, bit, stats):
-            if not _search(child, out, limit, stats, order_bits):
-                return False
+        if not _assign(child, cell, bit, stats):
+            stats.dead_ends += 1
+        elif not _search(child, out, limit, stats, order_bits):
+            return False
     return True
 
 

@@ -580,6 +580,22 @@ class TestFlags:
         assert run_cli("gen", "--n", "3", "--data-out", str(c)) == 0
         assert a.read_bytes() == b.read_bytes() != c.read_bytes()
 
+    def test_unread_flag_before_a_positional_is_named(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--seed", "9", *self.COMMANDS["export-asp"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "0"),
+        ("train", "--data", "data.jsonl", "--epochs", "0"),
+        ("eval", "--data", "data.jsonl", "--folds", "1"),
+        ("eval", "--data", "missing.jsonl"),
+    ], ids=["gen-n-0", "train-epochs-0", "eval-folds-1", "eval-missing-data"])
+    def test_error_before_writing_creates_no_out_directory(self, workdir, argv):
+        assert run_cli(*argv, "--out", "newdir") != 0
+        assert not (workdir / "newdir").exists()
+
     @pytest.mark.parametrize("out", [("--out=gen",), ("--out", "gen")], ids=["equals", "space"])
     def test_flag_value_may_name_a_subcommand(self, workdir, out):
         assert run_cli(*out, *self.COMMANDS["table1"]) == 0

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurosudoku import engine
 from neurosudoku.engine import (
     BridgeProtocolError,
     EXTERNAL_SOLVER_ENV,
@@ -32,6 +35,19 @@ def assert_sound(outcome, puzzle):
         assert is_valid_complete(sol)
         assert (np.asarray(sol)[given] == np.asarray(puzzle)[given]).all()
     assert len(grids_as_set(outcome.solutions)) == len(outcome.solutions)
+
+
+def assert_matches_naive_on_random_mask(seed, n_empty, limit):
+    puzzle = generate_solved(seed).reshape(-1)
+    puzzle[np.random.default_rng(seed).permutation(81)[:n_empty]] = 0
+    puzzle = puzzle.reshape(9, 9)
+    ours = solve(puzzle, limit)
+    naive_solutions, naive_exhausted = solve_naive(puzzle, limit)
+    assert len(ours.solutions) == len(naive_solutions)
+    assert ours.exhausted == naive_exhausted
+    if ours.exhausted:  # a search cut at the limit may keep other solutions
+        assert grids_as_set(ours.solutions) == grids_as_set(naive_solutions)
+    assert_sound(ours, puzzle)
 
 
 class TestSolve:
@@ -87,16 +103,7 @@ class TestSolve:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n_empty=st.integers(0, 50), limit=st.integers(1, 20))
     def test_matches_naive_oracle_on_random_masks(self, seed, n_empty, limit):
-        puzzle = generate_solved(seed).reshape(-1)
-        puzzle[np.random.default_rng(seed).permutation(81)[:n_empty]] = 0
-        puzzle = puzzle.reshape(9, 9)
-        ours = solve(puzzle, limit)
-        naive_solutions, naive_exhausted = solve_naive(puzzle, limit)
-        assert len(ours.solutions) == len(naive_solutions)
-        assert ours.exhausted == naive_exhausted
-        if ours.exhausted:  # a search cut at the limit may keep other solutions
-            assert grids_as_set(ours.solutions) == grids_as_set(naive_solutions)
-        assert_sound(ours, puzzle)
+        assert_matches_naive_on_random_mask(seed, n_empty, limit)
 
     def test_deterministic_enumeration_order(self, solved_grid):
         puzzle = np.where(mask_puzzle(solved_grid, 0.6, 9).mask, 0, solved_grid)
@@ -112,7 +119,60 @@ class TestSolve:
         assert outcome.stats.propagations > 0
 
 
+def hidden_single_refuted_puzzles():
+    """Puzzles whose givens leave row 0 without a place for a digit, though
+    every cell keeps a candidate: naked singles pass them, hidden singles fail."""
+    no_place = np.zeros((9, 9), dtype=int)
+    for r, c in [(1, 0), (2, 3), (3, 6), (6, 7)]:  # 1 fits row 0 only at (0, 8)
+        no_place[r, c] = 1
+    two_digits = no_place.copy()
+    no_place[0, 8] = 2
+    for r, c in [(1, 1), (2, 4), (4, 6), (7, 7)]:  # 2 fits row 0 only at (0, 8) too
+        two_digits[r, c] = 2
+    return {"digit-without-place": no_place, "two-digits-one-cell": two_digits}
+
+
+class TestHiddenSingles:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_empty=st.integers(0, 50), limit=st.integers(1, 20))
+    def test_from_the_root_match_naive_oracle_on_random_masks(self, seed, n_empty, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "HIDDEN_SINGLES_AFTER", -1)
+            assert_matches_naive_on_random_mask(seed, n_empty, limit)
+
+    @pytest.mark.parametrize("name", sorted(hidden_single_refuted_puzzles()))
+    def test_refutes_what_naked_singles_pass(self, monkeypatch, name):
+        puzzle = hidden_single_refuted_puzzles()[name]
+        assert engine._init_candidates(puzzle, engine.SolveStats()) is not None
+        monkeypatch.setattr(engine, "HIDDEN_SINGLES_AFTER", -1)
+        outcome = solve(puzzle, 1)
+        assert outcome.solutions == [] and outcome.exhausted
+        assert outcome.stats.nodes == 0 and outcome.stats.dead_ends == 1
+
+    # with naked singles alone these take 2.27M, 74.5k and 14.6M nodes
+    @pytest.mark.parametrize("seed", [82, 100, 1104])
+    def test_search_tail_at_08_is_cut(self, seed):
+        outcome = solve(mask_puzzle(generate_solved(seed), 0.8, seed).puzzle, 1)
+        assert len(outcome.solutions) == 1
+        assert outcome.stats.dead_ends >= engine.HIDDEN_SINGLES_AFTER
+        assert outcome.stats.hidden_singles > 0
+        assert outcome.stats.nodes < 1000
+
+
+# count_solutions(mask_puzzle(generate_solved(s), 0.6, s).puzzle, 100) for
+# s = 0..19, recorded with naked-single propagation alone; at 0.8 all reach 100
+COUNTS_06 = (6, 4, 2, 6, 36, 2, 60, 6, 17, 39, 24, 7, 2, 26, 6, 3, 20, 100, 30, 6)
+
+
 class TestCountSolutions:
+    @pytest.mark.parametrize("difficulty,expected", [(0.6, COUNTS_06), (0.8, (100,) * 20)])
+    def test_capped_counts_are_pinned(self, difficulty, expected):
+        counts = tuple(
+            count_solutions(mask_puzzle(generate_solved(s), difficulty, s).puzzle, 100)
+            for s in range(20)
+        )
+        assert counts == expected
+
     def test_solved_grid(self, solved_grid):
         assert count_solutions(solved_grid, 5) == 1
 
@@ -132,6 +192,13 @@ class TestGenerateSolved:
 
     def test_deterministic(self):
         assert (generate_solved(7) == generate_solved(7)).all()
+
+    def test_grids_are_pinned(self):
+        # generation never reaches HIDDEN_SINGLES_AFTER dead ends (at most 8
+        # over these seeds), so it keeps the grids of naked singles alone
+        digest = hashlib.sha256(b"".join(generate_solved(s).tobytes() for s in range(5000)))
+        assert digest.hexdigest() == (
+            "c5effa21c52250da3ca0887ca062c46bc6e32bbe4dfea7753d546e7685c2c4ab")
 
     def test_distinct_seeds_are_diverse(self):
         top_left = {
