@@ -48,9 +48,9 @@ print("\nstandard loss:  uniform =", round(standard_loss(uniform, solution), 6),
 print("expert loss:    uniform =", expert_loss(uniform),
       "(degenerate: every unit expectation already sums to 45)")
 print("constraints:    truth, solution-consistent =",
-      constraints_loss(truth, inst.mask, inst.puzzle, "solution-consistent"))
+      constraints_loss(truth, inst.puzzle, "solution-consistent"))
 print("constraints:    uniform, fixed-target, no empties =",
-      constraints_loss(uniform, np.zeros((9, 9), bool), solution, "fixed-target"),
+      constraints_loss(uniform, solution, "fixed-target"),
       "(27 units x 9 digits x 1^2)")
 
 # The combined loss is the weighted sum of whichever components the

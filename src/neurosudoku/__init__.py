@@ -38,7 +38,6 @@ from .losses import (
     ABLATIONS,
     LossBreakdown,
     LossConfig,
-    LossWeights,
     ablation_config,
     combined_loss,
     combined_loss_grad,

@@ -12,8 +12,9 @@ its key) is read by all but ``export-asp``, ``--out <dir>`` by all but
 quick|full`` by ``table1`` only.  A ``--flag value`` or ``--flag=value``
 before the subcommand is shorthand for the same flag after it.  Exit code 0
 iff all requested work succeeded; a flag the subcommand does not read and
-every ``ValueError`` (the library's type for bad input) exit 2, runtime
-failures exit 1.
+every ``ValueError`` (the library's type for bad input) exit 2; a file that
+cannot be read or written (``OSError``, whose message names the path) and
+other runtime failures exit 1.
 """
 
 from __future__ import annotations
@@ -76,11 +77,14 @@ def _difficulty(value) -> float:
     return difficulty
 
 
-def _make_out_dir(args, explicit_path) -> None:
-    """Create ``--out`` if the output goes there by default.  Commands call it
-    just before their first write, so a usage error leaves no directory."""
-    if not explicit_path:
-        os.makedirs(args.out, exist_ok=True)
+def _out_path(args, explicit_path, name: str) -> str:
+    """``explicit_path``, or ``name`` in ``--out``, which is created here.
+    Commands call it just before their first write, so a usage error leaves
+    no directory."""
+    if explicit_path:
+        return explicit_path
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def cmd_gen(args, settings: dict) -> int:
@@ -89,30 +93,19 @@ def cmd_gen(args, settings: dict) -> int:
     difficulty = _difficulty(training.read_setting(settings, "difficulty", float, 0.1))
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
-    out_path = args.data_out or os.path.join(args.out, "dataset.jsonl")
     dataset = training.build_dataset(n, difficulty, seed)
-    try:
-        _make_out_dir(args, args.data_out)
-        training.save_dataset(dataset, out_path)
-    except OSError as exc:
-        return _fail(f"cannot write dataset to {out_path}: {exc}")
+    out_path = _out_path(args, args.data_out, "dataset.jsonl")
+    training.save_dataset(dataset, out_path)
     print(f"wrote {len(dataset)} instances to {out_path}")
     return 0
 
 
 def cmd_train(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
-    try:
-        dataset = training.load_dataset(args.data)
-    except OSError as exc:
-        return _fail(f"cannot read dataset {args.data}: {exc}")
+    dataset = training.load_dataset(args.data)
     params, history = training.train(dataset, cfg, init_seed=cfg.seed)
-    model_path = args.model_out or os.path.join(args.out, "model.json")
-    try:
-        _make_out_dir(args, args.model_out)
-        network.save_params(params, model_path, seed=cfg.seed)
-    except OSError as exc:
-        return _fail(f"cannot write checkpoint to {model_path}: {exc}")
+    model_path = _out_path(args, args.model_out, "model.json")
+    network.save_params(params, model_path, seed=cfg.seed)
     print(f"trained {cfg.epochs} epochs on {len(dataset)} puzzles")
     print(f"first-epoch loss {history[0]:.6f}, final-epoch loss {history[-1]:.6f}")
     print(f"checkpoint: {model_path}")
@@ -121,21 +114,13 @@ def cmd_train(args, settings: dict) -> int:
 
 def cmd_eval(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
-    try:
-        dataset = training.load_dataset(args.data)
-    except OSError as exc:
-        return _fail(f"cannot read dataset {args.data}: {exc}")
+    dataset = training.load_dataset(args.data)
     if len(dataset) < cfg.folds:
         raise ValueError(f"{args.data} has {len(dataset)} puzzles, fewer than folds={cfg.folds}")
     result = training.kfold_evaluate(dataset, cfg)
-    difficulty = dataset[0].difficulty if dataset else 0.0
-    rows = training.result_rows(result, len(dataset), difficulty)
-    csv_path = args.csv_out or os.path.join(args.out, "results.csv")
-    try:
-        _make_out_dir(args, args.csv_out)
-        training.write_results_csv(rows, csv_path)
-    except OSError as exc:
-        return _fail(f"cannot write results to {csv_path}: {exc}")
+    rows = training.result_rows(result, len(dataset), dataset[0].difficulty)
+    csv_path = _out_path(args, args.csv_out, "results.csv")
+    training.write_results_csv(rows, csv_path)
     print(f"accuracy all-cells  : {result.mean_all:.4f} +/- {result.std_all:.4f}")
     print(f"accuracy empty-cells: {result.mean_empty:.4f} +/- {result.std_empty:.4f}")
     print(f"results: {csv_path}")
@@ -220,10 +205,7 @@ def cmd_solve(args, settings: dict) -> int:
             raise ValueError("--solution disagrees with the puzzle's givens")
     elif args.render or args.render_svg:
         raise ValueError("--render and --render-svg need --solution to compare against")
-    try:
-        params, _ = network.load_params(args.model)
-    except OSError as exc:
-        return _fail(f"cannot read checkpoint {args.model}: {exc}")
+    params, _ = network.load_params(args.model)
     predicted = training.solve_with_model(params, puzzle, mode)
     print(grids.format_grid(predicted))
     if solution is None:
@@ -239,24 +221,17 @@ def cmd_solve(args, settings: dict) -> int:
         )
         print(f"predicted cells correct: {correct}/{predicted_cells}")
     if args.render_svg:
-        try:
-            with open(args.render_svg, "w", encoding="utf-8") as fh:
-                fh.write(charts.grid_to_svg(rendered))
-        except OSError as exc:
-            return _fail(f"cannot write SVG to {args.render_svg}: {exc}")
+        with open(args.render_svg, "w", encoding="utf-8") as fh:
+            fh.write(charts.grid_to_svg(rendered))
         print(f"rendering: {args.render_svg}")
     return 0
 
 
 def cmd_export_asp(args, settings: dict) -> int:
     program = engine.emit_asp_program(grids.parse_grid(args.puzzle))
-    out_path = args.asp_out or os.path.join(args.out, "puzzle.lp")
-    try:
-        _make_out_dir(args, args.asp_out)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(program)
-    except OSError as exc:
-        return _fail(f"cannot write program to {out_path}: {exc}")
+    out_path = _out_path(args, args.asp_out, "puzzle.lp")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(program)
     print(f"program: {out_path}")
     return 0
 
@@ -372,6 +347,8 @@ def main(argv=None) -> int:
         return args.func(args, settings)
     except ValueError as exc:  # bad input, whichever layer found it
         return _fail(str(exc), 2)
+    except OSError as exc:  # a file that cannot be read or written; the message names it
+        return _fail(str(exc))
     except Exception as exc:  # last-resort: report, nonzero exit
         return _fail(f"{type(exc).__name__}: {exc}")
 

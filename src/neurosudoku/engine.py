@@ -266,22 +266,16 @@ def mask_puzzle(
     MASK_RETRY_BUDGET attempts.
     """
     solved = as_grid(solved)
-    if not 0.0 < difficulty < 1.0:
-        raise ValueError(f"difficulty must be in (0,1), got {difficulty}")
     n_masked = masked_cell_count(difficulty)
     rng = random.Random(seed)
     attempts = MASK_RETRY_BUDGET if require_unique else 1
     for _ in range(attempts):
-        chosen = rng.sample(range(N_CELLS), n_masked)
-        mask = np.zeros(N_CELLS, dtype=bool)
-        mask[chosen] = True
-        mask = mask.reshape(GRID_SIZE, GRID_SIZE)
-        puzzle = np.where(mask, 0, solved)
+        puzzle = solved.copy()
+        puzzle.flat[rng.sample(range(N_CELLS), n_masked)] = 0
         if not require_unique or count_solutions(puzzle, 2) == 1:
             return PuzzleInstance(
                 puzzle=puzzle,
                 solution=solved,
-                mask=mask,
                 difficulty=difficulty,
                 seed=seed,
             ).validate()

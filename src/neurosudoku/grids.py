@@ -89,40 +89,43 @@ def cell_accuracy(predicted, truth, mask, scope: str = SCOPE_ALL) -> float:
 
 
 def masked_cell_count(difficulty: float) -> int:
-    """Number of cells emptied at a difficulty: round-half-up of 81*difficulty."""
+    """Number of cells emptied at a difficulty: round-half-up of 81*difficulty.
+    ValueError for a difficulty outside (0, 1)."""
+    if not 0.0 < difficulty < 1.0:
+        raise ValueError(f"difficulty must be in (0,1), got {difficulty}")
     return int(math.floor(N_CELLS * difficulty + 0.5))
 
 
 @dataclass(frozen=True)
 class PuzzleInstance:
-    """One dataset unit: masked puzzle, reference solution, mask, provenance.
+    """One dataset unit: masked puzzle, reference solution, provenance.
 
     Invariants (see ``validate``): the puzzle is the solution with exactly
-    round(81*difficulty) cells zeroed, and ``mask`` is true exactly on the
-    zeroed cells.
+    round(81*difficulty) cells zeroed.  ``mask`` is true on those cells.
     """
 
     puzzle: np.ndarray
     solution: np.ndarray
-    mask: np.ndarray
     difficulty: float
     seed: int
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.puzzle == 0
 
     def validate(self) -> "PuzzleInstance":
         puzzle = as_grid(self.puzzle)
         solution = as_grid(self.solution)
-        mask = np.asarray(self.mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
         if not is_valid_complete(solution):
             raise ValueError("stored solution is not a valid complete grid")
-        if not ((puzzle == 0) == mask).all():
-            raise ValueError("mask does not match the puzzle's empty cells")
-        givens = ~mask
+        givens = puzzle != 0
         if not (puzzle[givens] == solution[givens]).all():
             raise ValueError("puzzle givens disagree with the solution")
-        if int(mask.sum()) != masked_cell_count(self.difficulty):
+        n_masked = N_CELLS - int(givens.sum())
+        expected = masked_cell_count(self.difficulty)
+        if n_masked != expected:
             raise ValueError(
-                f"mask count {int(mask.sum())} != expected "
-                f"{masked_cell_count(self.difficulty)} at difficulty {self.difficulty}"
+                f"mask count {n_masked} != expected {expected} at difficulty {self.difficulty}"
             )
         return self
 

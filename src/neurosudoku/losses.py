@@ -26,7 +26,7 @@ gamma*expert; zero-weight components are skipped and reported as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,42 +52,28 @@ _UNIT_SUM = float(DIGITS.sum())  # 45
 
 
 @dataclass(frozen=True)
-class LossWeights:
+class LossConfig:
     alpha: float
     beta: float
     gamma: float
+    constraint_mode: str = MODE_SOLUTION_CONSISTENT
 
     def __post_init__(self):
         if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.gamma)):
             raise ValueError("loss weights must be nonnegative and finite")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one loss weight must be positive")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    weights: LossWeights
-    constraint_mode: str = MODE_SOLUTION_CONSISTENT
-
-    def __post_init__(self):
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode: {self.constraint_mode!r}")
 
     @property
     def ablation(self) -> str:
         """The label of the ablation whose weights these are, or ``"custom"``."""
-        w = self.weights
         return next((label for label, weights in ABLATION_WEIGHTS.items()
-                     if weights == (w.alpha, w.beta, w.gamma)), CUSTOM)
+                     if weights == (self.alpha, self.beta, self.gamma)), CUSTOM)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.weights.alpha,
-            "beta": self.weights.beta,
-            "gamma": self.weights.gamma,
-            "constraint_mode": self.constraint_mode,
-            "ablation": self.ablation,
-        }
+        return {**asdict(self), "ablation": self.ablation}
 
 
 @dataclass(frozen=True)
@@ -101,12 +87,11 @@ class LossBreakdown:
 def ablation_config(label: str, constraint_mode: str = MODE_SOLUTION_CONSISTENT) -> LossConfig:
     """LossConfig for one ablation column: weights are 0/1 per the label."""
     try:
-        alpha, beta, gamma = ABLATION_WEIGHTS[label]
+        return LossConfig(*ABLATION_WEIGHTS[label], constraint_mode)
     except KeyError:
         raise ValueError(
             f"unknown ablation label: {label!r} (choose from {', '.join(ABLATIONS)})"
         ) from None
-    return LossConfig(weights=LossWeights(alpha, beta, gamma), constraint_mode=constraint_mode)
 
 
 def _true_cell_probs(pred: np.ndarray, target: np.ndarray):
@@ -141,13 +126,14 @@ def constraint_targets(givens, mode: str) -> np.ndarray:
     raise ValueError(f"unknown constraint mode: {mode!r}")
 
 
-def constraints_loss(pred: np.ndarray, mask, givens, mode: str = MODE_SOLUTION_CONSISTENT) -> float:
-    """Squared target-count gaps of per-unit digit mass over empty cells."""
-    return constraints_loss_grad(pred, mask, givens, mode)[0]
+def constraints_loss(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CONSISTENT) -> float:
+    """Squared target-count gaps of per-unit digit mass over the empty cells
+    of ``givens``."""
+    return constraints_loss_grad(pred, givens, mode)[0]
 
 
-def constraints_loss_grad(pred: np.ndarray, mask, givens, mode: str = MODE_SOLUTION_CONSISTENT):
-    m = np.asarray(mask, dtype=np.float64).reshape(N_CELLS, 1)
+def constraints_loss_grad(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CONSISTENT):
+    m = (np.asarray(givens).reshape(N_CELLS, 1) == 0).astype(np.float64)
     mass = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) * m)  # (27, 9) per unit and digit
     residual = constraint_targets(givens, mode) - mass
     d_pred = -2.0 * (INCIDENCE.T @ residual) * m
@@ -176,19 +162,16 @@ def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossC
 
     Components with zero weight are skipped entirely and reported as 0.
     """
-    w = config.weights
     std = cons = exp_ = 0.0
     d_pred = np.zeros_like(pred)
-    if w.alpha != 0.0:
+    if config.alpha != 0.0:
         std, d_std = standard_loss_grad(pred, instance.solution)
-        d_pred += w.alpha * d_std
-    if w.beta != 0.0:
-        cons, d_cons = constraints_loss_grad(
-            pred, instance.mask, instance.puzzle, config.constraint_mode
-        )
-        d_pred += w.beta * d_cons
-    if w.gamma != 0.0:
+        d_pred += config.alpha * d_std
+    if config.beta != 0.0:
+        cons, d_cons = constraints_loss_grad(pred, instance.puzzle, config.constraint_mode)
+        d_pred += config.beta * d_cons
+    if config.gamma != 0.0:
         exp_, d_exp = expert_loss_grad(pred)
-        d_pred += w.gamma * d_exp
-    combined = w.alpha * std + w.beta * cons + w.gamma * exp_
+        d_pred += config.gamma * d_exp
+    combined = config.alpha * std + config.beta * cons + config.gamma * exp_
     return LossBreakdown(std, cons, exp_, combined), d_pred

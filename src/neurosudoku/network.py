@@ -278,7 +278,7 @@ def load_params(path):
             raise CheckpointError(f"checkpoint {path} has no field {f}")
         try:
             arr = np.asarray(payload[f], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(
                 f"checkpoint {path}: field {f} is not a numeric array: {exc}"
             ) from exc
@@ -289,8 +289,7 @@ def load_params(path):
         if not np.isfinite(arr).all():
             raise CheckpointError(f"checkpoint {path}: field {f} has non-finite values")
         setattr(params, f, arr)
-    try:
-        seed = int(payload.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path}: seed is not an integer: {exc}") from exc
+    seed = payload.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CheckpointError(f"checkpoint {path}: seed must be an integer, got {json.dumps(seed)}")
     return params, seed

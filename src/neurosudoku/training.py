@@ -37,7 +37,6 @@ from .losses import (
     CUSTOM,
     LossBreakdown,
     LossConfig,
-    LossWeights,
     ablation_config,
     combined_loss,
     combined_loss_grad,
@@ -76,9 +75,12 @@ def read_setting(settings: dict, key: str, kind: type, default):
     else:
         valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
                  and (kind is float or isinstance(value, int) or value.is_integer()))
-    if not valid:
-        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
-    return kind(value)
+    if valid:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class TrainConfig:
         """
         mode = read_setting(settings, "constraint_mode", str, cls.loss.constraint_mode)
         label = read_setting(settings, "ablation", str, cls.loss.ablation)
-        base = {} if label == CUSTOM else asdict(ablation_config(label, mode).weights)
+        base = {} if label == CUSTOM else asdict(ablation_config(label, mode))
         weights = {key: read_setting(settings, key, float, base.get(key))
                    for key in ("alpha", "beta", "gamma")}
         if None in weights.values():
@@ -133,7 +135,7 @@ class TrainConfig:
             epochs=read_setting(settings, "epochs", int, cls.epochs),
             folds=read_setting(settings, "folds", int, cls.folds),
             seed=read_setting(settings, "seed", int, cls.seed),
-            loss=LossConfig(LossWeights(**weights), mode),
+            loss=LossConfig(**weights, constraint_mode=mode),
             lr=read_setting(settings, "lr", float, cls.lr),
             postprocess_mode=read_setting(settings, "postprocess_mode", str, cls.postprocess_mode),
         )
@@ -206,16 +208,11 @@ def _parse_record(line: str) -> PuzzleInstance:
     missing = [key for key in ("puzzle", "solution", "difficulty", "seed") if key not in rec]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
-    for key in ("puzzle", "solution"):
-        if not isinstance(rec[key], str):
-            raise ValueError(f"{key} must be a string, got {type(rec[key]).__name__}")
-    puzzle = parse_grid(rec["puzzle"])
     return PuzzleInstance(
-        puzzle=puzzle,
-        solution=parse_grid(rec["solution"]),
-        mask=puzzle == 0,
-        difficulty=float(rec["difficulty"]),
-        seed=int(rec["seed"]),
+        puzzle=parse_grid(read_setting(rec, "puzzle", str, None)),
+        solution=parse_grid(read_setting(rec, "solution", str, None)),
+        difficulty=read_setting(rec, "difficulty", float, None),
+        seed=read_setting(rec, "seed", int, None),
     ).validate()
 
 

@@ -26,7 +26,6 @@ from neurosudoku.grids import (
 )
 from neurosudoku.losses import (
     LossConfig,
-    LossWeights,
     MODE_FIXED_TARGET,
     MODE_SOLUTION_CONSISTENT,
     ablation_config,
@@ -123,8 +122,8 @@ def test_criterion_2_gradient_correctness():
             tensor, _ = forward(p, x)
             return np.array([
                 standard_loss(tensor, inst.solution),
-                constraints_loss(tensor, inst.mask, inst.puzzle, MODE_FIXED_TARGET),
-                constraints_loss(tensor, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT),
+                constraints_loss(tensor, inst.puzzle, MODE_FIXED_TARGET),
+                constraints_loss(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT),
                 expert_loss(tensor),
                 combined_loss(tensor, inst, all_combined).combined,
             ])
@@ -132,8 +131,8 @@ def test_criterion_2_gradient_correctness():
         tensor, cache = forward(params, x)
         d_tensors = [
             standard_loss_grad(tensor, inst.solution)[1],
-            constraints_loss_grad(tensor, inst.mask, inst.puzzle, MODE_FIXED_TARGET)[1],
-            constraints_loss_grad(tensor, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT)[1],
+            constraints_loss_grad(tensor, inst.puzzle, MODE_FIXED_TARGET)[1],
+            constraints_loss_grad(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT)[1],
             expert_loss_grad(tensor)[1],
             combined_loss_grad(tensor, inst, all_combined)[1],
         ]
@@ -171,24 +170,21 @@ def test_criterion_3_loss_identities():
     exp_uniform = expert_loss(uniform)
     assert abs(exp_uniform) <= 1e-9
 
-    cons_truth = constraints_loss(truth, inst.mask, inst.puzzle, MODE_SOLUTION_CONSISTENT)
+    cons_truth = constraints_loss(truth, inst.puzzle, MODE_SOLUTION_CONSISTENT)
     assert abs(cons_truth) <= 1e-9
 
-    cons_literal = constraints_loss(
-        uniform, np.zeros((9, 9), dtype=bool), solution, MODE_FIXED_TARGET
-    )
+    cons_literal = constraints_loss(uniform, solution, MODE_FIXED_TARGET)
     assert cons_literal == 243.0
 
     rng = np.random.default_rng(7)
     raw = rng.uniform(0.01, 1.0, (9, 9, 9))
     tensor = raw / raw.sum(axis=2, keepdims=True)
-    weights = LossWeights(0.6, 1.7, 0.4)
-    breakdown = combined_loss(tensor, inst, LossConfig(weights=weights))
+    config = LossConfig(0.6, 1.7, 0.4)
+    breakdown = combined_loss(tensor, inst, config)
     direct = (
-        weights.alpha * standard_loss(tensor, inst.solution)
-        + weights.beta * constraints_loss(tensor, inst.mask, inst.puzzle,
-                                          MODE_SOLUTION_CONSISTENT)
-        + weights.gamma * expert_loss(tensor)
+        config.alpha * standard_loss(tensor, inst.solution)
+        + config.beta * constraints_loss(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT)
+        + config.gamma * expert_loss(tensor)
     )
     assert abs(breakdown.combined - direct) <= 1e-9
 
@@ -340,7 +336,7 @@ def test_criterion_8_small_data_point_estimates(ablation_grid):
             f"(|delta|={delta:.3f}{'' if within else ' MISS'})"
         )
     config = ablation_config("all-combined")
-    weights = (config.weights.alpha, config.weights.beta, config.weights.gamma)
+    weights = (config.alpha, config.beta, config.gamma)
     report(
         "criterion 8 (12-puzzle point estimates, tolerance +/-0.15)",
         ok,

@@ -9,9 +9,9 @@ import pytest
 from neurosudoku.cli import main
 from neurosudoku.engine import PROGRAM_RULES, solve
 from neurosudoku.grids import format_grid, is_valid_complete, parse_grid
-from neurosudoku.losses import LossConfig, LossWeights, ablation_config
+from neurosudoku.losses import LossConfig, ablation_config
 from neurosudoku.network import init_params, load_params, save_params
-from neurosudoku.training import CSV_COLUMNS, TrainConfig, load_dataset, train
+from neurosudoku.training import CSV_COLUMNS, DatasetError, TrainConfig, load_dataset, train
 
 
 def run_cli(*argv):
@@ -53,13 +53,6 @@ class TestGen:
         assert code == 2
         assert "--n" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
-
-    def test_unwritable_path_reports_and_fails(self, tmp_path, capsys):
-        bad = tmp_path / "missing-dir" / "data.jsonl"
-        code = run_cli("gen", "--n", "2", "--data-out", str(bad))
-        assert code != 0
-        err = capsys.readouterr().err
-        assert str(bad) in err
 
 
 class TestTrainEval:
@@ -117,7 +110,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("config", [
         TrainConfig(epochs=2, seed=4, lr=0.01, postprocess_mode="greedy-constrained",
-                    loss=LossConfig(LossWeights(0.5, 0.0, 2.0), "fixed-target")),
+                    loss=LossConfig(0.5, 0.0, 2.0, "fixed-target")),
         TrainConfig(epochs=1, folds=5, postprocess_mode="hybrid-complete",
                     loss=ablation_config("standard+expert")),
     ], ids=["custom", "ablation"])
@@ -191,6 +184,27 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"{data}:2: bad dataset record" in err
         assert "Error:" not in err  # no exception type leaks through
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("difficulty", "Infinity"), ("difficulty", "1e400"), ("difficulty", "-Infinity"),
+        ("difficulty", "NaN"), ("difficulty", "1" + "0" * 400), ("difficulty", '"0.1"'),
+        ("seed", "1e400"), ("seed", "1.5"), ("seed", "true"),
+    ], ids=["difficulty-inf", "difficulty-1e400", "difficulty-minus-inf", "difficulty-nan",
+            "difficulty-huge-integer", "difficulty-string", "seed-1e400", "seed-1.5",
+            "seed-true"])
+    def test_bad_dataset_number_exits_2(self, tmp_path, capsys, key, value):
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), key: None}).replace("null", value)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=f"{data}:2: bad dataset record: {key} "):
+            load_dataset(data)
+        capsys.readouterr()
+        out = tmp_path / "result.csv"
+        assert run_cli("eval", "--data", str(data), "--csv-out", str(out), "--folds", "2") == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}:2: bad dataset record")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -517,6 +531,42 @@ class TestSolve:
         code = run_cli("solve", "--model", str(bad), "." * 81)
         assert code == 2
         assert "format" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 with one line naming it."""
+
+    CASES = {
+        "gen-write": ("gen", "--n", "2", "--data-out", "{missing}/d.jsonl"),
+        "train-read": ("train", "--data", "{missing}/d.jsonl"),
+        "train-write": ("train", "--data", "{data}", "--epochs", "1",
+                        "--model-out", "{missing}/m.json"),
+        "eval-read": ("eval", "--data", "{missing}/d.jsonl"),
+        "eval-write": ("eval", "--data", "{data}", "--epochs", "1", "--folds", "2",
+                       "--csv-out", "{missing}/r.csv"),
+        "table1-out-is-a-file": ("--out", "{data}", "table1", "--rows", "4:0.1"),
+        "solve-read": ("solve", "--model", "{missing}/m.json", "." * 81),
+        "solve-write": ("solve", "--model", "{model}", "." * 81, "--solution", "{solution}",
+                        "--render-svg", "{missing}/g.svg"),
+        "export-asp-write": ("export-asp", "." * 81, "--asp-out", "{missing}/p.lp"),
+        "export-asp-out-is-a-file": ("--out", "{data}", "export-asp", "." * 81),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_1_with_one_line_naming_the_path(self, tmp_path, capsys, model_file,
+                                                   solved_grid, case):
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
+        capsys.readouterr()
+        paths = dict(missing=tmp_path / "missing-dir", data=data, model=model_file,
+                     solution=format_grid(solved_grid))
+        argv = [arg.format(**paths) for arg in self.CASES[case]]
+        assert run_cli(*argv) == 1
+        named = next((arg for arg in argv if "missing-dir" in arg), str(data))
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
+        assert "Error" not in lines[0]  # no exception class name
 
 
 class TestFlags:

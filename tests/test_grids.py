@@ -224,14 +224,6 @@ class TestPuzzleInstance:
         inst = mask_puzzle(solved_grid, 0.3, 5)
         assert inst.validate() is inst
 
-    def test_mask_mismatch_rejected(self, solved_grid):
-        inst = mask_puzzle(solved_grid, 0.3, 5)
-        bad_mask = inst.mask.copy()
-        bad_mask[0, 0] = not bad_mask[0, 0]
-        with pytest.raises(ValueError):
-            PuzzleInstance(inst.puzzle, inst.solution, bad_mask,
-                           inst.difficulty, inst.seed).validate()
-
     def test_given_disagreeing_with_solution_rejected(self, solved_grid):
         inst = mask_puzzle(solved_grid, 0.3, 5)
         bad_puzzle = inst.puzzle.copy()
@@ -239,11 +231,18 @@ class TestPuzzleInstance:
         i, j = givens[0]
         bad_puzzle[i, j] = bad_puzzle[i, j] % 9 + 1
         with pytest.raises(ValueError):
-            PuzzleInstance(bad_puzzle, inst.solution, inst.mask,
-                           inst.difficulty, inst.seed).validate()
+            PuzzleInstance(bad_puzzle, inst.solution, inst.difficulty, inst.seed).validate()
 
     def test_wrong_mask_count_rejected(self, solved_grid):
         inst = mask_puzzle(solved_grid, 0.3, 5)
         with pytest.raises(ValueError, match="mask count"):
-            PuzzleInstance(inst.puzzle, inst.solution, inst.mask,
-                           0.6, inst.seed).validate()
+            PuzzleInstance(inst.puzzle, inst.solution, 0.6, inst.seed).validate()
+
+    @pytest.mark.parametrize("difficulty", [0.0, 1.0, -0.3, float("inf"), float("nan")])
+    def test_difficulty_outside_the_unit_interval_rejected(self, solved_grid, difficulty):
+        inst = mask_puzzle(solved_grid, 0.3, 5)
+        for call in (lambda: masked_cell_count(difficulty),
+                     lambda: mask_puzzle(solved_grid, difficulty, 5),
+                     PuzzleInstance(inst.puzzle, inst.solution, difficulty, inst.seed).validate):
+            with pytest.raises(ValueError, match=r"difficulty must be in \(0,1\)"):
+                call()

@@ -10,7 +10,6 @@ from neurosudoku.engine import generate_solved, mask_puzzle
 from neurosudoku.losses import (
     ABLATIONS,
     LossConfig,
-    LossWeights,
     MODE_FIXED_TARGET,
     MODE_SOLUTION_CONSISTENT,
     ablation_config,
@@ -65,22 +64,17 @@ class TestStandardLoss:
 
 class TestConstraintsLoss:
     def test_fully_given_fixed_target_is_243(self, solved_grid, uniform_tensor):
-        mask = np.zeros((9, 9), dtype=bool)
-        assert constraints_loss(uniform_tensor, mask, solved_grid, MODE_FIXED_TARGET) == 243.0
+        assert constraints_loss(uniform_tensor, solved_grid, MODE_FIXED_TARGET) == 243.0
 
     def test_one_hot_truth_scores_zero_solution_consistent(self, instance_03):
         tensor = one_hot_tensor(instance_03.solution)
-        loss = constraints_loss(
-            tensor, instance_03.mask, instance_03.puzzle, MODE_SOLUTION_CONSISTENT
-        )
+        loss = constraints_loss(tensor, instance_03.puzzle, MODE_SOLUTION_CONSISTENT)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_one_hot_truth_nonzero_under_fixed_target(self, instance_03):
         # a digit already given in a unit makes that unit's target unreachable
         tensor = one_hot_tensor(instance_03.solution)
-        loss = constraints_loss(
-            tensor, instance_03.mask, instance_03.puzzle, MODE_FIXED_TARGET
-        )
+        loss = constraints_loss(tensor, instance_03.puzzle, MODE_FIXED_TARGET)
         assert loss > 1.0
 
     def test_uniform_three_empties_in_one_row_analytic(self, solved_grid):
@@ -94,7 +88,7 @@ class TestConstraintsLoss:
         mask[0, :3] = True
         givens = np.where(mask, 0, solved_grid)
         uniform = np.full((9, 9, 9), 1 / 9)
-        total = constraints_loss(uniform, mask, givens, MODE_SOLUTION_CONSISTENT)
+        total = constraints_loss(uniform, givens, MODE_SOLUTION_CONSISTENT)
         expected = 2.0 + 3 * (8 / 9) + 2.0
         assert total == pytest.approx(expected, abs=1e-9)
         assert total == pytest.approx(
@@ -107,16 +101,14 @@ class TestConstraintsLoss:
         for mode in (MODE_FIXED_TARGET, MODE_SOLUTION_CONSISTENT):
             for _ in range(20):
                 tensor = random_tensor(rng)
-                fast = constraints_loss(tensor, instance_03.mask, instance_03.puzzle, mode)
+                fast = constraints_loss(tensor, instance_03.puzzle, mode)
                 slow = constraints_loss_slow(tensor, instance_03.mask, instance_03.puzzle, mode)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
     def test_nonnegative(self, instance_03):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            assert constraints_loss(
-                random_tensor(rng), instance_03.mask, instance_03.puzzle
-            ) >= 0
+            assert constraints_loss(random_tensor(rng), instance_03.puzzle) >= 0
 
 
 class TestExpertLoss:
@@ -176,7 +168,7 @@ class TestCombinedLoss:
     def test_breakdown_respects_weighted_sum(self, instance_03):
         rng = np.random.default_rng(5)
         tensor = random_tensor(rng)
-        config = LossConfig(weights=LossWeights(0.7, 2.5, 0.3))
+        config = LossConfig(0.7, 2.5, 0.3)
         b = combined_loss(tensor, instance_03, config)
         assert b.combined == pytest.approx(
             0.7 * b.standard + 2.5 * b.constraints + 0.3 * b.expert, abs=1e-9
@@ -190,9 +182,9 @@ class TestCombinedLoss:
     )
     def test_linear_in_weights(self, instance_03_module, tensor_module, alpha, beta, gamma):
         inst = instance_03_module
-        config = LossConfig(weights=LossWeights(alpha, beta, gamma))
+        config = LossConfig(alpha, beta, gamma)
         b = combined_loss(tensor_module, inst, config)
-        base = combined_loss(tensor_module, inst, LossConfig(weights=LossWeights(1, 1, 1)))
+        base = combined_loss(tensor_module, inst, LossConfig(1, 1, 1))
         assert b.combined == pytest.approx(
             alpha * base.standard + beta * base.constraints + gamma * base.expert,
             rel=1e-9, abs=1e-9,
@@ -218,7 +210,7 @@ class TestAblationConfig:
     ])
     def test_weight_mapping(self, label, expected):
         config = ablation_config(label)
-        assert (config.weights.alpha, config.weights.beta, config.weights.gamma) == expected
+        assert (config.alpha, config.beta, config.gamma) == expected
         assert config.ablation == label
 
     def test_unknown_label(self):
@@ -239,21 +231,21 @@ class TestAblationConfig:
         ((0, 1, 0), "custom"),
     ])
     def test_label_derived_from_weights(self, weights, label):
-        assert LossConfig(weights=LossWeights(*weights)).ablation == label
+        assert LossConfig(*weights).ablation == label
 
 
 class TestLossConfigValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            LossWeights(-0.1, 0, 0)
+            LossConfig(-0.1, 0, 0)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            LossWeights(0, 0, 0)
+            LossConfig(0, 0, 0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="constraint mode"):
-            LossConfig(weights=LossWeights(1, 0, 0), constraint_mode="mystery")
+            LossConfig(1, 0, 0, constraint_mode="mystery")
 
 
 class TestTensorGradients:
@@ -289,9 +281,9 @@ class TestTensorGradients:
     def test_constraints_grad_both_modes(self, instance_03):
         for mode in (MODE_FIXED_TARGET, MODE_SOLUTION_CONSISTENT):
             tensor = random_tensor(np.random.default_rng(7))
-            _, grad = constraints_loss_grad(tensor, instance_03.mask, instance_03.puzzle, mode)
+            _, grad = constraints_loss_grad(tensor, instance_03.puzzle, mode)
             fd, idx = self.tensor_fd(
-                lambda t: constraints_loss(t, instance_03.mask, instance_03.puzzle, mode),
+                lambda t: constraints_loss(t, instance_03.puzzle, mode),
                 tensor,
             )
             flat_a, flat_fd = grad.reshape(-1), fd.reshape(-1)
@@ -308,11 +300,9 @@ class TestTensorGradients:
 
     def test_combined_grad_is_weighted_sum_of_parts(self, instance_03):
         tensor = random_tensor(np.random.default_rng(9))
-        config = LossConfig(weights=LossWeights(0.5, 1.5, 2.0))
+        config = LossConfig(0.5, 1.5, 2.0)
         _, d_combined = combined_loss_grad(tensor, instance_03, config)
         _, d_std = standard_loss_grad(tensor, instance_03.solution)
-        _, d_cons = constraints_loss_grad(
-            tensor, instance_03.mask, instance_03.puzzle, config.constraint_mode
-        )
+        _, d_cons = constraints_loss_grad(tensor, instance_03.puzzle, config.constraint_mode)
         _, d_exp = expert_loss_grad(tensor)
         assert np.allclose(d_combined, 0.5 * d_std + 1.5 * d_cons + 2.0 * d_exp, atol=1e-12)

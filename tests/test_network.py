@@ -331,7 +331,14 @@ class TestCheckpoint:
         (lambda payload: {k: v for k, v in payload.items() if k != "W1"}, "no field W1"),
         (lambda payload: {**payload, "b1": ["x"] * 64}, "not a numeric array"),
         (lambda payload: {**payload, "b2": [float("nan")] * 729}, "non-finite"),
-    ], ids=["json-list", "missing-field", "non-numeric", "nan-weights"])
+        (lambda payload: {**payload, "b1": [10**400] * 64}, "b1 is not a numeric array"),
+        # JSON reads 1e400 as infinity
+        (lambda payload: {**payload, "seed": float("inf")}, "seed must be an integer"),
+        (lambda payload: {**payload, "seed": 1.5}, "seed must be an integer"),
+        (lambda payload: {**payload, "seed": True}, "seed must be an integer"),
+        (lambda payload: {**payload, "seed": "3"}, "seed must be an integer"),
+    ], ids=["json-list", "missing-field", "non-numeric", "nan-weights", "integer-too-large",
+            "seed-infinite", "seed-1.5", "seed-true", "seed-string"])
     def test_malformed_payload_raises_checkpoint_error(self, tmp_path, edit, match):
         import json
 

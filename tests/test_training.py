@@ -15,7 +15,6 @@ from neurosudoku.losses import (
     ABLATIONS,
     CONSTRAINT_MODES,
     LossConfig,
-    LossWeights,
     ablation_config,
     combined_loss_grad,
 )
@@ -478,8 +477,8 @@ _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 _loss_configs = st.one_of(
     st.builds(ablation_config, st.sampled_from(ABLATIONS), st.sampled_from(CONSTRAINT_MODES)),
     st.builds(
-        LossConfig,
-        st.tuples(_weight, _weight, _weight).filter(any).map(lambda w: LossWeights(*w)),
+        lambda weights, mode: LossConfig(*weights, mode),
+        st.tuples(_weight, _weight, _weight).filter(any),
         st.sampled_from(CONSTRAINT_MODES),
     ),
 )
@@ -505,7 +504,7 @@ class TestConfigSerialization:
 
     def test_from_dict_with_label_only(self):
         config = TrainConfig.from_dict({"ablation": "standard+expert"})
-        assert config.loss.weights == LossWeights(1.0, 0.0, 1.0)
+        assert config.loss == LossConfig(1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("data,weights,label", [
         ({"alpha": 0.5}, (0.5, 1.0, 1.0), "custom"),
@@ -515,7 +514,7 @@ class TestConfigSerialization:
     ])
     def test_stated_weights_replace_the_label_weights(self, data, weights, label):
         loss = TrainConfig.from_dict(data).loss
-        assert (loss.weights.alpha, loss.weights.beta, loss.weights.gamma) == weights
+        assert (loss.alpha, loss.beta, loss.gamma) == weights
         assert loss.ablation == label
 
     def test_custom_label_needs_all_three_weights(self):
@@ -540,5 +539,5 @@ class TestConfigSerialization:
         }
         config = TrainConfig.from_dict(data)
         assert config.epochs == 100
-        assert config.loss.weights.beta == 1.0
-        assert config.loss.weights.gamma == 0.0
+        assert config.loss.beta == 1.0
+        assert config.loss.gamma == 0.0
