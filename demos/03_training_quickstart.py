@@ -36,8 +36,7 @@ print(f"\ntrained on {len(train_set)} puzzles, "
 print("\nheld-out puzzle:", format_grid(holdout.puzzle))
 for mode in ("argmax", "greedy-constrained", "hybrid-complete"):
     predicted = solve_with_model(params, holdout.puzzle, mode)
-    acc_all = cell_accuracy(predicted, holdout.solution, holdout.mask, SCOPE_ALL) \
-        if (predicted != 0).all() else float("nan")
+    acc_all = cell_accuracy(predicted, holdout.solution, holdout.mask, SCOPE_ALL)
     print(f"{mode:18s} -> {format_grid(predicted)}  acc_all={acc_all:.3f}")
 
 # Figure-style comparison: given cells plain, predicted cells colored by

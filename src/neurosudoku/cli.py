@@ -5,16 +5,16 @@ checkpoint), ``eval`` (k-fold evaluation of a dataset), ``table1`` (the full
 ablation grid with CSV and SVG outputs), ``solve`` (model-based solving with
 optional comparison rendering), ``export-asp`` (logic-program export).
 
-Each subcommand takes exactly the flags it reads.  Of the shared ones,
-``--config <json>`` (experiment config file; a flag the user sets overrides
-its key) is read by all but ``export-asp``, ``--out <dir>`` by all but
-``solve``, ``--seed`` by ``gen``, ``train`` and ``eval``, and ``--profile
-quick|full`` by ``table1`` only.  A ``--flag value`` or ``--flag=value``
-before the subcommand is shorthand for the same flag after it.  Exit code 0
-iff all requested work succeeded; a flag the subcommand does not read and
-every ``ValueError`` (the library's type for bad input) exit 2; a file that
-cannot be read or written (``OSError``, whose message names the path) and
-other runtime failures exit 1.
+Each subcommand takes exactly the flags it reads: ``SHARED_FLAGS`` declares
+once each flag that several subcommands take, and ``build_parser`` lists each
+subcommand's.  ``--config <json>`` names an experiment config file; a flag
+the user sets overrides its key.  A ``--flag value`` or ``--flag=value``
+before the subcommand is shorthand for the same flag after it.  The library
+function that consumes an input checks its rules; this module only parses
+text.  Exit code 0 iff all requested work succeeded; a flag the subcommand
+does not read and every ``ValueError`` (the library's type for bad input)
+exit 2; a file that cannot be read or written (``OSError``, whose message
+names the path) and other runtime failures exit 1.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ def _load_config_file(path):
     return data
 
 
-def _difficulty(value) -> float:
-    """A difficulty in (0, 1); ValueError otherwise."""
-    difficulty = float(value)
-    if not 0.0 < difficulty < 1.0:
-        raise ValueError(f"difficulty must be in (0,1), got {value}")
-    return difficulty
-
-
 def _out_path(args, explicit_path, name: str) -> str:
     """``explicit_path``, or ``name`` in ``--out``, which is created here.
     Commands call it just before their first write, so a usage error leaves
@@ -90,9 +82,7 @@ def _out_path(args, explicit_path, name: str) -> str:
 def cmd_gen(args, settings: dict) -> int:
     seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
     n = training.read_setting(settings, "n_puzzles", int, 12)
-    difficulty = _difficulty(training.read_setting(settings, "difficulty", float, 0.1))
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
+    difficulty = training.read_setting(settings, "difficulty", float, 0.1)
     dataset = training.build_dataset(n, difficulty, seed)
     out_path = _out_path(args, args.data_out, "dataset.jsonl")
     training.save_dataset(dataset, out_path)
@@ -115,8 +105,6 @@ def cmd_train(args, settings: dict) -> int:
 def cmd_eval(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
     dataset = training.load_dataset(args.data)
-    if len(dataset) < cfg.folds:
-        raise ValueError(f"{args.data} has {len(dataset)} puzzles, fewer than folds={cfg.folds}")
     result = training.kfold_evaluate(dataset, cfg)
     rows = training.result_rows(result, len(dataset), dataset[0].difficulty)
     csv_path = _out_path(args, args.csv_out, "results.csv")
@@ -134,7 +122,7 @@ def _parse_rows(text: str):
         n, sep, d = part.partition(":")
         if not sep:
             raise ValueError(f"row {part!r} is not of the form n:difficulty")
-        rows.append((int(n), _difficulty(d)))
+        rows.append((int(n), float(d)))
     return rows
 
 
@@ -144,28 +132,23 @@ def cmd_table1(args, settings: dict) -> int:
         raise ValueError(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
                          f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)")
     try:
-        rows = _parse_rows(args.rows) if args.rows else list(DEFAULT_TABLE1_ROWS)
+        rows = _parse_rows(args.rows)
     except ValueError as exc:
         raise ValueError(f"bad --rows: {exc}") from None
     if args.profile == "quick":
         rows = [(n, d) for n, d in rows if n <= 12]
-    ablations = args.ablations.split(",") if args.ablations else list(ABLATIONS)
-    for label in ablations:
-        if label not in ABLATIONS:
-            raise ValueError(f"unknown ablation label: {label!r}")
+    ablations = args.ablations.split(",")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(DEFAULT_TABLE1_SEEDS)
+        seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise ValueError(f"bad --seeds: {args.seeds!r} is not a comma list of integers") from None
-    run = training.TrainConfig.from_dict(settings)
-    for n, difficulty in rows:
-        if n < run.folds:
-            raise ValueError(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}")
+    # run_grid checks the whole grid here, before the output directory exists
+    cells = training.run_grid(rows, seeds, ablations, training.TrainConfig.from_dict(settings))
     os.makedirs(args.out, exist_ok=True)
 
     all_rows = []
     failed = 0
-    for cell in training.run_grid(rows, seeds, ablations, run):
+    for cell in cells:
         all_rows.extend(cell.csv_rows())
         name = (f"n={cell.n_puzzles} difficulty={cell.difficulty} "
                 f"seed={cell.config.seed} {cell.config.loss.ablation}")
@@ -240,6 +223,15 @@ SHARED_FLAGS = {
     "--config": dict(help="experiment config JSON file"),
     "--out": dict(default=".", help="output directory (default .)"),
     "--seed": dict(type=int, help="base RNG seed"),
+    "--epochs": dict(type=int),
+    "--folds": dict(type=int),
+    "--lr": dict(type=float),
+    "--constraint-mode": dict(choices=CONSTRAINT_MODES),
+    "--ablation": dict(choices=ABLATIONS),
+    "--alpha": dict(type=float),
+    "--beta": dict(type=float),
+    "--gamma": dict(type=float),
+    "--postprocess-mode": dict(choices=training.POSTPROCESS_MODES),
 }
 
 
@@ -268,48 +260,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of cells masked, in (0,1); default 0.1")
     p.add_argument("--data-out", default=None, help="dataset path (default OUT/dataset.jsonl)")
 
-    def add_run_flags(q):
-        q.add_argument("--epochs", type=int, default=None)
-        q.add_argument("--folds", type=int, default=None)
-        q.add_argument("--lr", type=float, default=None)
-        q.add_argument("--constraint-mode", choices=CONSTRAINT_MODES, default=None)
-
-    def add_train_flags(q):
-        add_run_flags(q)
-        q.add_argument("--ablation", choices=ABLATIONS, default=None)
-        q.add_argument("--alpha", type=float, default=None)
-        q.add_argument("--beta", type=float, default=None)
-        q.add_argument("--gamma", type=float, default=None)
-        q.add_argument("--postprocess-mode", choices=training.POSTPROCESS_MODES, default=None)
-
-    p = subcommand("train", cmd_train, ("--config", "--out", "--seed"),
+    train_flags = ("--config", "--out", "--seed", "--epochs", "--lr", "--constraint-mode",
+                   "--ablation", "--alpha", "--beta", "--gamma")
+    p = subcommand("train", cmd_train, train_flags,
                    help="train a model on a dataset, save a checkpoint")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
     p.add_argument("--model-out", default=None, help="checkpoint path (default OUT/model.json)")
-    add_train_flags(p)
 
-    p = subcommand("eval", cmd_eval, ("--config", "--out", "--seed"),
+    p = subcommand("eval", cmd_eval, (*train_flags, "--folds", "--postprocess-mode"),
                    help="k-fold evaluation of a dataset")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
     p.add_argument("--csv-out", default=None, help="results path (default OUT/results.csv)")
-    add_train_flags(p)
 
-    p = subcommand("table1", cmd_table1, ("--config", "--out"),
+    p = subcommand("table1", cmd_table1, ("--config", "--out", "--epochs", "--folds", "--lr",
+                                          "--constraint-mode"),
                    help="run the ablation grid, write CSV and charts")
     p.add_argument("--profile", choices=("quick", "full"), default="full",
                    help="quick = 12-puzzle rows only")
-    p.add_argument("--rows", default=None,
+    p.add_argument("--rows", default=",".join(f"{n}:{d}" for n, d in DEFAULT_TABLE1_ROWS),
                    help="comma list of n:difficulty cells (default the full grid)")
-    p.add_argument("--ablations", default=None, help="comma list of ablation labels")
-    p.add_argument("--seeds", default=None, help="comma list of base seeds (default 0,1,2)")
+    p.add_argument("--ablations", default=",".join(ABLATIONS),
+                   help="comma list of ablation labels (default all four)")
+    p.add_argument("--seeds", default=",".join(map(str, DEFAULT_TABLE1_SEEDS)),
+                   help="comma list of base seeds (default 0,1,2)")
     p.add_argument("--chart-style", choices=("bars", "lines"), default="bars")
-    add_run_flags(p)
 
-    p = subcommand("solve", cmd_solve, ("--config",),
+    p = subcommand("solve", cmd_solve, ("--config", "--postprocess-mode"),
                    help="solve a puzzle with a trained model")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("puzzle", help="81-character puzzle ('.' or '0' = empty)")
-    p.add_argument("--postprocess-mode", choices=training.POSTPROCESS_MODES, default=None)
     p.add_argument("--solution", default=None,
                    help="the puzzle's complete solution, for comparison")
     p.add_argument("--render", action="store_true",

@@ -31,6 +31,7 @@ from .grids import (
     as_grid,
     cell_accuracy,
     format_grid,
+    masked_cell_count,
     parse_grid,
 )
 from .losses import (
@@ -220,14 +221,13 @@ def load_dataset(path):
     """Read a JSON-lines dataset; DatasetError names the file and line of
     the first bad record."""
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                instances.append(_parse_record(line))
-            except (TypeError, ValueError) as exc:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    instances.append(_parse_record(line))
+            except (TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
                 raise DatasetError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
     return instances
 
@@ -332,7 +332,7 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
     """
     n = len(dataset)
     if config.folds > n:
-        raise ValueError(f"folds={config.folds} exceeds dataset size {n}")
+        raise ValueError(f"dataset has {n} puzzles, fewer than folds={config.folds}")
     if train_fn is None:
         train_fn = train
     if predict_fn is None:
@@ -443,23 +443,36 @@ class GridCell:
 
 
 def run_grid(rows, seeds, ablations, run: TrainConfig):
-    """Yield one GridCell per (row, base seed, ablation), nested in that order.
+    """Check the whole grid, then return an iterator of one GridCell per
+    (row, base seed, ablation), nested in that order.
 
     ``rows`` are (n_puzzles, difficulty) pairs.  One dataset is built per
     (row, seed) and shared by its ablations; each cell's config is ``run``
     with that seed and the ablation's weights in ``run``'s constraint mode.
-    A cell whose dataset build or k-fold run raises comes out with ``error``
-    set and no result, and the grid carries on.
+    ValueError before any work for no rows, seeds or ablations, an unknown
+    label, a difficulty outside (0, 1) or a row with fewer puzzles than
+    ``run.folds``.  A cell whose dataset build or k-fold run raises comes
+    out with ``error`` set and no result, and the grid carries on.
     """
+    loss_configs = [ablation_config(label, run.loss.constraint_mode) for label in ablations]
+    if not (rows and seeds and loss_configs):
+        raise ValueError("the grid needs at least one row, one seed and one ablation")
+    for n, difficulty in rows:
+        masked_cell_count(difficulty)
+        if n < run.folds:
+            raise ValueError(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}")
+    return _grid_cells(rows, seeds, loss_configs, run)
+
+
+def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
     for n, difficulty in rows:
         for seed in seeds:
             try:
                 dataset, dataset_error = build_dataset(n, difficulty, seed), None
             except Exception as exc:  # every ablation of this (row, seed) fails
                 dataset, dataset_error = None, f"dataset: {exc}"
-            for label in ablations:
-                config = replace(run, seed=seed,
-                                 loss=ablation_config(label, run.loss.constraint_mode))
+            for loss in loss_configs:
+                config = replace(run, seed=seed, loss=loss)
                 result, error = None, dataset_error
                 if dataset is not None:
                     try:

@@ -51,7 +51,7 @@ class TestGen:
     def test_no_puzzles_exits_2(self, tmp_path, capsys, n):
         code = run_cli("gen", "--n", n, "--data-out", str(tmp_path / "d.jsonl"))
         assert code == 2
-        assert "--n" in capsys.readouterr().err
+        assert "n_puzzles" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -169,18 +169,20 @@ class TestTrainEval:
         "x",
         {"puzzle": 5, "solution": "1" * 81, "difficulty": 0.1, "seed": 0},
         {"puzzle": "." * 81, "solution": None, "difficulty": 0.1, "seed": 0},
-    ], ids=["82-characters", "list", "string", "puzzle-number", "solution-null"])
+        b"\xff{}",
+    ], ids=["82-characters", "list", "string", "puzzle-number", "solution-null", "not-utf-8"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_malformed_dataset_record_exits_2(self, tmp_path, capsys, command, record):
         data = tmp_path / "data.jsonl"
         run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
-        lines = data.read_text().splitlines()
-        lines[1] = json.dumps(record)
-        data.write_text("\n".join(lines) + "\n")
+        lines = data.read_bytes().splitlines()
+        lines[1] = record if isinstance(record, bytes) else json.dumps(record).encode()
+        data.write_bytes(b"\n".join(lines) + b"\n")
         capsys.readouterr()
         out = tmp_path / "result"
-        flag = "--model-out" if command == "train" else "--csv-out"
-        assert run_cli(command, "--data", str(data), flag, str(out), "--folds", "2") == 2
+        flags = {"train": ["--model-out", str(out)],
+                 "eval": ["--csv-out", str(out), "--folds", "2"]}[command]
+        assert run_cli(command, "--data", str(data), *flags) == 2
         err = capsys.readouterr().err
         assert f"{data}:2: bad dataset record" in err
         assert "Error:" not in err  # no exception type leaks through
@@ -299,6 +301,22 @@ class TestTable1:
         out = tmp_path / "t1"
         assert run_cli("--out", str(out), "table1", "--rows", "4:0.1", "--seeds", "a") == 2
         assert "bad --seeds: 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--rows", ""), "bad --rows: row ''"),
+        (("--rows", "4:0.1", "--seeds", ""), "bad --seeds: ''"),
+        (("--rows", "4:0.1", "--ablations", ""), "unknown ablation label: ''"),
+        (("--profile", "quick", "--rows", "100:0.1"), "the grid needs at least one row"),
+        (("--rows", "4:0.1", "--ablations", "standard-only,nope"),
+         "unknown ablation label: 'nope'"),
+        (("--rows", "4:0.1,12:1.5"), "difficulty must be in (0,1), got 1.5"),
+    ], ids=["rows-empty", "seeds-empty", "ablations-empty", "quick-keeps-no-row",
+            "unknown-ablation", "difficulty-1.5"])
+    def test_empty_or_bad_grid_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "t1"
+        assert run_cli("--out", str(out), "table1", *argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -588,6 +606,7 @@ class TestFlags:
         ("eval", "--profile", "quick"), ("solve", "--profile", "quick"),
         ("export-asp", "--profile", "quick"),
         ("solve", "--out", "newdir"), ("export-asp", "--config", "config.json"),
+        ("train", "--folds", "2"), ("train", "--postprocess-mode", "argmax"),
     ]
 
     @pytest.fixture

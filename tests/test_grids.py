@@ -157,11 +157,13 @@ class TestCellAccuracy:
     def test_empty_scope_with_no_masked_cells(self, solved_grid):
         assert cell_accuracy(solved_grid, solved_grid, np.zeros(81, bool), SCOPE_EMPTY) == 1.0
 
-    def test_zero_in_prediction_rejected(self, solved_grid):
+    def test_empty_predicted_cell_counts_as_wrong(self, solved_grid):
         pred = solved_grid.copy()
-        pred[0, 0] = 0
-        with pytest.raises(ValueError, match="decode"):
-            cell_accuracy(pred, solved_grid, np.zeros(81, bool), SCOPE_ALL)
+        pred[0, 0] = pred[4, 4] = 0
+        mask = np.zeros((9, 9), dtype=bool)
+        mask[0, :4] = True
+        assert cell_accuracy(pred, solved_grid, mask, SCOPE_ALL) == pytest.approx(79 / 81)
+        assert cell_accuracy(pred, solved_grid, mask, SCOPE_EMPTY) == pytest.approx(3 / 4)
 
     def test_unknown_scope_rejected(self, solved_grid):
         with pytest.raises(ValueError, match="scope"):

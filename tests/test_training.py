@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,21 @@ class TestKFold:
         kfold_evaluate(build_dataset(12, 0.1, 0), TrainConfig(epochs=2, folds=3))
         assert len(calls) == 3 * 8 * 2 + 12  # each fold's training steps, then each validation puzzle
 
+    def test_greedy_empty_cells_score_as_wrong(self):
+        dataset = build_dataset(6, 0.6, 0)
+        config = TrainConfig(epochs=2, folds=2, postprocess_mode=MODE_GREEDY)
+        empty = []
+
+        def spy_predict(tensor, inst):
+            grid = training.postprocess(tensor, inst.puzzle, MODE_GREEDY)
+            empty.append(int((grid == 0).sum()))
+            return grid
+
+        result = kfold_evaluate(dataset, config, predict_fn=spy_predict)
+        assert sum(empty) > 0  # greedy left cells empty, and they scored
+        assert kfold_evaluate(dataset, config).mean_all == result.mean_all
+        assert 0.0 < result.mean_empty < 1.0
+
     def test_history_recorded_per_fold(self):
         dataset = build_dataset(4, 0.1, 1)
         config = TrainConfig(epochs=3, folds=2)
@@ -444,6 +460,23 @@ class TestRunGrid:
             assert cell.result.mean_all == direct.mean_all
             assert cell.result.mean_empty == direct.mean_empty
             assert cell.csv_rows() == result_rows(direct, cell.n_puzzles, cell.difficulty)
+
+    @pytest.mark.parametrize("rows,seeds,ablations,message", [
+        ([(4, 0.1)], [0], ["standard-only", "nope"], "unknown ablation label: 'nope'"),
+        ([(4, 0.1), (4, 1.5)], [0], ["standard-only"], "difficulty must be in (0,1)"),
+        ([(4, 0.1), (1, 0.1)], [0], ["standard-only"], "row 1:0.1 has fewer puzzles than folds=2"),
+        ([], [0], ["standard-only"], "the grid needs at least one row"),
+        ([(4, 0.1)], [], ["standard-only"], "the grid needs at least one row"),
+        ([(4, 0.1)], [0], [], "the grid needs at least one row"),
+    ], ids=["unknown-label", "difficulty-1.5", "fewer-puzzles-than-folds", "no-rows",
+            "no-seeds", "no-ablations"])
+    def test_bad_grid_raises_before_any_dataset(self, monkeypatch, rows, seeds, ablations,
+                                                 message):
+        calls = []
+        monkeypatch.setattr(training, "build_dataset", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(rows, seeds, ablations, GRID_RUN)
+        assert calls == []
 
     def test_raising_cell_is_yielded_failed_and_grid_continues(self, monkeypatch):
         def flaky_evaluate(dataset, config):
