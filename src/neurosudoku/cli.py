@@ -174,10 +174,9 @@ def cmd_solve(args, settings: dict) -> int:
     puzzle = grids.parse_grid(args.puzzle)
     if not grids.is_consistent_partial(puzzle):
         raise ValueError("puzzle givens are inconsistent (duplicate digit in a unit)")
-    mode = training.read_setting(settings, "postprocess_mode", str,
-                                 training.TrainConfig.postprocess_mode)
-    if mode not in training.POSTPROCESS_MODES:
-        raise ValueError(f"unknown postprocess mode: {mode!r}")
+    # checked before the model is read, so a bad mode exits 2 even without one
+    mode = training._check_postprocess_mode(training.read_setting(
+        settings, "postprocess_mode", str, training.TrainConfig.postprocess_mode))
     solution = None
     if args.solution is not None:
         solution = grids.parse_grid(args.solution)
@@ -249,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         for flag in shared:
             p.add_argument(flag, **SHARED_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = subcommand("gen", cmd_gen, ("--config", "--out", "--seed"),
@@ -317,7 +316,9 @@ def _subcommand_first(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_subcommand_first(argv))
+    args, unread = build_parser().parse_known_args(_subcommand_first(argv))
+    if unread:  # reported by the subcommand's parser, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         config = _load_config_file(getattr(args, "config", None))
         # the one merge of file and flags: a flag the user set overrides the file's key

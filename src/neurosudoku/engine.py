@@ -173,13 +173,14 @@ def _cands_to_grid(cands: list) -> np.ndarray:
 
 
 def _search(cands, out, limit, stats, order_bits) -> bool:
-    """Enumerate completions depth-first.  Returns False once ``limit`` is hit."""
+    """Enumerate completions depth-first into ``out``, as candidate lists.
+    Returns False once ``limit`` is hit."""
     if stats.dead_ends >= HIDDEN_SINGLES_AFTER and not _place_hidden_singles(cands, stats):
         stats.dead_ends += 1
         return True
     cell = _pick_cell(cands)
     if cell < 0:
-        out.append(_cands_to_grid(cands))
+        out.append(cands)
         return len(out) < limit
     for bit in order_bits(cands[cell]):
         stats.nodes += 1
@@ -194,9 +195,7 @@ def _search(cands, out, limit, stats, order_bits) -> bool:
 def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
     """Seed the candidate state from the givens; None on contradiction."""
     cands = [ALL_DIGITS] * N_CELLS
-    flat = puzzle.reshape(-1)
-    for idx in range(N_CELLS):
-        v = int(flat[idx])
+    for idx, v in enumerate(puzzle.reshape(-1).tolist()):
         if v:
             bit = 1 << (v - 1)
             if not cands[idx] & bit:
@@ -215,6 +214,18 @@ def solve(puzzle, limit: int = 1, _order_bits=_bits_ascending) -> SolveOutcome:
     An inconsistent puzzle yields an empty, exhausted outcome rather than
     an error.
     """
+    outcome = _complete(puzzle, limit, _order_bits)
+    outcome.solutions = [_cands_to_grid(cands) for cands in outcome.solutions]
+    return outcome
+
+
+def count_solutions(puzzle, cap: int) -> int:
+    """min(cap, number of completions of the puzzle)."""
+    return len(_complete(puzzle, cap, _bits_ascending).solutions)
+
+
+def _complete(puzzle, limit: int, order_bits) -> SolveOutcome:
+    """``solve``'s search, with the completions left as candidate lists."""
     puzzle = as_grid(puzzle)
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -224,13 +235,8 @@ def solve(puzzle, limit: int = 1, _order_bits=_bits_ascending) -> SolveOutcome:
     if cands is None:
         outcome.exhausted = True
         return outcome
-    outcome.exhausted = _search(cands, outcome.solutions, limit, stats, _order_bits)
+    outcome.exhausted = _search(cands, outcome.solutions, limit, stats, order_bits)
     return outcome
-
-
-def count_solutions(puzzle, cap: int) -> int:
-    """min(cap, number of completions of the puzzle)."""
-    return len(solve(puzzle, cap).solutions)
 
 
 def generate_solved(seed: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import xml.etree.ElementTree as ET
 
@@ -395,6 +396,16 @@ class TestTable1:
         assert "n=4 difficulty=0.1 seed=0 standard+expert" in err and "boom" in err
         assert "standard-only" not in err
 
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        from neurosudoku import training
+
+        monkeypatch.setattr(training, "kfold_evaluate", lambda dataset, config: os._exit(3))
+        code = run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "4:0.1", "--seeds", "0",
+                       "--epochs", "1", "--folds", "2")
+        assert code == 1
+        assert "error: BrokenProcessPool" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
     def test_line_style_chart(self, tmp_path):
         out = tmp_path / "t1"
         code = run_cli("--out", str(out), "table1",
@@ -520,13 +531,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("case", [
         "render-without-solution", "render-svg-without-solution", "solution-80-characters",
-        "solution-incomplete", "solution-disagrees-with-givens",
+        "solution-incomplete", "solution-disagrees-with-givens", "unknown-postprocess-mode",
     ])
     def test_usage_errors_exit_2_before_the_model_is_read(self, solved_grid, tmp_path, capsys,
                                                           case):
         puzzle = solved_grid.copy()
         puzzle[0, :3] = 0
         svg = tmp_path / "grid.svg"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"postprocess_mode": "magic"}))
         flags = {
             "render-without-solution": ["--render"],
             "render-svg-without-solution": ["--render-svg", str(svg)],
@@ -534,6 +547,7 @@ class TestSolve:
             "solution-incomplete": ["--solution", format_grid(puzzle), "--render"],
             # a digit relabeling: a valid complete grid that differs in every cell
             "solution-disagrees-with-givens": ["--solution", format_grid(solved_grid % 9 + 1)],
+            "unknown-postprocess-mode": ["--config", str(config)],
         }[case]
         # the model file does not exist: reading it would exit 1
         code = run_cli("solve", "--model", str(tmp_path / "missing.json"), format_grid(puzzle),
@@ -621,7 +635,7 @@ class TestFlags:
     @pytest.mark.parametrize("where", ["before", "after"])
     @pytest.mark.parametrize("command,flag,value", UNREAD,
                              ids=[f"{c}-{f.lstrip('-')}" for c, f, _ in UNREAD])
-    def test_unread_flag_exits_2(self, workdir, command, flag, value, where):
+    def test_unread_flag_exits_2(self, workdir, capsys, command, flag, value, where):
         argv = self.COMMANDS[command]
         argv = [flag, value, *argv] if where == "before" else [*argv, flag, value]
         before = sorted(os.listdir(workdir))
@@ -629,6 +643,10 @@ class TestFlags:
             run_cli(*argv)
         assert exc.value.code == 2
         assert sorted(os.listdir(workdir)) == before
+        # the subcommand's parser reports it, so its usage shows the flags it takes
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: neurosudoku {command} [-h]")
+        assert f"neurosudoku {command}: error: unrecognized arguments: {flag} {value}" in err
 
     @pytest.mark.parametrize("argv", [
         ("table1", "--rows", "4:0.1", "--seeds", "0", "--epochs", "1", "--folds", "2",

@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
 import itertools
 import json
 import math
+import multiprocessing
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -504,6 +507,45 @@ class TestRunGrid:
         rows = [row for c in cells for row in c.csv_rows()]
         assert [row["fold"] for row in rows] == [0, 1] * 3 + [-1] * 3
         assert all(math.isnan(float(row["acc_all"])) for row in rows if row["fold"] == -1)
+
+    def test_cells_are_the_same_with_one_or_two_workers(self, monkeypatch):
+        def grid():
+            cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+            return ([c.csv_rows() for c in cells],
+                    [[fold.history for fold in c.result.folds] for c in cells])
+
+        monkeypatch.setattr(training, "_pool_size", lambda n_cells: 1)
+        one_worker = grid()
+        monkeypatch.setattr(training, "_pool_size", lambda n_cells: 2)
+        assert grid() == one_worker
+
+    def test_no_process_outlives_the_grid(self):
+        list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        assert multiprocessing.active_children() == []
+
+    def test_closing_early_cancels_the_cells_not_started(self, monkeypatch, tmp_path):
+        def marking_evaluate(dataset, config):
+            (tmp_path / f"{len(dataset)}-{config.seed}-{config.loss.ablation}").touch()
+            time.sleep(0.2)
+            return kfold_evaluate(dataset, config)
+
+        monkeypatch.setattr(training, "kfold_evaluate", marking_evaluate)
+        monkeypatch.setattr(training, "_pool_size", lambda n_cells: 2)
+        cells = run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN)
+        assert next(cells).error is None
+        cells.close()
+        assert multiprocessing.active_children() == []
+        # the cells still waiting for a worker when the iterator closed never start
+        n_cells = len(GRID_ROWS) * len(GRID_SEEDS) * len(GRID_ABLATIONS)
+        assert len(list(tmp_path.iterdir())) < n_cells
+
+    def test_rejected_grid_starts_no_process(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pools.append(a))
+        with pytest.raises(ValueError):
+            run_grid([(4, 0.1)], GRID_SEEDS, ["nope"], GRID_RUN)
+        assert pools == [] and multiprocessing.active_children() == []
 
 
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
