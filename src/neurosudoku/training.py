@@ -476,8 +476,11 @@ def run_grid(rows, seeds, ablations, run: TrainConfig):
 
 def _pool_size(n_cells: int) -> int:
     """Worker processes for a grid of ``n_cells``: one per CPU this process
-    may use, and no more than there are cells."""
-    return min(n_cells, len(os.sched_getaffinity(0)))
+    may use (all of them where the OS cannot say, as on macOS), and no more
+    than there are cells."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_cells, len(os.sched_getaffinity(0)))
+    return min(n_cells, os.cpu_count() or 1)
 
 
 def _evaluate_cell(dataset, config: TrainConfig):
@@ -491,20 +494,28 @@ def _evaluate_cell(dataset, config: TrainConfig):
 
 def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
     # Datasets are built here, in nesting order; each cell's k-fold run is a
-    # job in a worker, and the cells come back in submission order.  Workers
-    # are forked (named, since Python 3.14 changes the Linux default): they
-    # inherit the loaded modules as they are, numpy included, and the pool
-    # forks them all before it starts its own thread.  Closing the iterator
-    # early cancels the cells not yet handed to a worker.  The pool modules
-    # are imported here, not at the top: they add about 10 ms to every
-    # command's start, and only the grid uses them.
+    # job in a worker, and the cells come back in submission order.  After
+    # each (row, seed) is submitted, the finished cells at the head of the
+    # queue are yielded, so output starts while later datasets are built.
+    # Workers are forked (named, since Python 3.14 changes the Linux
+    # default): they inherit the loaded modules as they are, numpy included,
+    # and the pool forks them all before it starts its own thread.  Closing
+    # the iterator early cancels the cells not yet handed to a worker and
+    # builds no further dataset.  The pool modules are imported here, not at
+    # the top: they add about 10 ms to every command's start, and only the
+    # grid uses them.
     import multiprocessing
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
+
+    def cell(n, difficulty, config, job, dataset_error):
+        result, error = (None, dataset_error) if job is None else job.result()
+        return GridCell(n, difficulty, config, result, error)
 
     n_cells = len(rows) * len(seeds) * len(loss_configs)
     pool = ProcessPoolExecutor(_pool_size(n_cells), mp_context=multiprocessing.get_context("fork"))
     try:
-        jobs = []
+        jobs = deque()
         for n, difficulty in rows:
             for seed in seeds:
                 try:
@@ -515,9 +526,10 @@ def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
                     config = replace(run, seed=seed, loss=loss)
                     job = None if dataset is None else pool.submit(_evaluate_cell, dataset, config)
                     jobs.append((n, difficulty, config, job, dataset_error))
-        for n, difficulty, config, job, dataset_error in jobs:
-            result, error = (None, dataset_error) if job is None else job.result()
-            yield GridCell(n, difficulty, config, result, error)
+                while jobs and (jobs[0][3] is None or jobs[0][3].done()):
+                    yield cell(*jobs.popleft())
+        while jobs:
+            yield cell(*jobs.popleft())
     finally:
         pool.shutdown(cancel_futures=True)
 

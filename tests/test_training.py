@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -538,6 +540,55 @@ class TestRunGrid:
         # the cells still waiting for a worker when the iterator closed never start
         n_cells = len(GRID_ROWS) * len(GRID_SEEDS) * len(GRID_ABLATIONS)
         assert len(list(tmp_path.iterdir())) < n_cells
+
+    def test_output_starts_before_the_last_dataset_is_built(self, monkeypatch, tmp_path):
+        built = []
+
+        def build_after_first_cell(n, difficulty, seed):
+            if built:  # later datasets wait until the first cell's result is back
+                deadline = time.monotonic() + 30
+                while not (tmp_path / "evaluated").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.5)
+            built.append((n, difficulty, seed))
+            return build_dataset(n, difficulty, seed)
+
+        def marking_evaluate(dataset, config):
+            result = kfold_evaluate(dataset, config)
+            (tmp_path / "evaluated").touch()
+            return result
+
+        monkeypatch.setattr(training, "build_dataset", build_after_first_cell)
+        monkeypatch.setattr(training, "kfold_evaluate", marking_evaluate)
+        monkeypatch.setattr(training, "_pool_size", lambda n_cells: 1)
+        cells = run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN)
+        first = next(cells)
+        assert (first.n_puzzles, first.config.seed, first.error) == (4, 0, None)
+        n_built = len(built)
+        assert n_built < len(GRID_ROWS) * len(GRID_SEEDS)
+        cells.close()
+        assert len(built) == n_built  # closing builds no further dataset
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_workers_run_on_one_thread(self, monkeypatch):
+        # A worker that started BLAS threads would oversubscribe the CPUs:
+        # the pool already has one worker per CPU.
+        def evaluate_and_count_threads(dataset, config):
+            result = kfold_evaluate(dataset, config)
+            with open("/proc/self/status") as fh:
+                threads = next(line for line in fh if line.startswith("Threads:"))
+            return result, int(threads.split()[1])
+
+        monkeypatch.setattr(training, "kfold_evaluate", evaluate_and_count_threads)
+        cells = list(run_grid([(12, 0.1)], [0], GRID_ABLATIONS, replace(GRID_RUN, epochs=3)))
+        assert [c.result[1] for c in cells] == [1] * len(GRID_ABLATIONS)
+
+    def test_pool_size_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert (training._pool_size(12), training._pool_size(2)) == (3, 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert training._pool_size(12) == 1
 
     def test_rejected_grid_starts_no_process(self, monkeypatch):
         pools = []
