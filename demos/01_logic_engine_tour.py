@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # Tour of the exact logic engine: generating solved grids, masking them
 # into puzzles at a difficulty level, solving, counting solutions, and
-# exporting the constraint program for an external solver.
+# exporting the constraint program as a logic program.
 
 from neurosudoku.engine import (
     count_solutions,
@@ -41,8 +41,7 @@ unique = mask_puzzle(solved, 0.1, seed=5, require_unique=True)
 print("unique-solution puzzle:", count_solutions(unique.puzzle, 2), "completion")
 
 # The same constraints exported as a logic program: four rules plus one
-# fact per given cell, ready for an external solver (set the
-# ASPER_EXTERNAL_SOLVER environment variable to cross-check).
+# fact per given cell, ready for an answer-set solver.
 program = emit_asp_program(unique.puzzle)
 print(f"\nlogic program ({len(program.splitlines())} lines), first 6:")
 for line in program.splitlines()[:6]:

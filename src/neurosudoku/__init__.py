@@ -16,7 +16,6 @@ from .engine import (
     SolveOutcome,
     count_solutions,
     emit_asp_program,
-    external_solve,
     generate_solved,
     mask_puzzle,
     solve,

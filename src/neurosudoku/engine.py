@@ -27,17 +27,22 @@ dead ends in a first-solution search and 1.1M in a capped count.  Only a
 search that switches can return a different first solution of a puzzle with
 several.
 
+``mask_puzzle(..., require_unique=True)`` redraws masks until one leaves a
+single completion.  Most draws that fail blank all four cells of an
+unavoidable rectangle of the solution: ``a b / b a`` on two rows and two
+columns, the four cells in exactly two boxes.  Swapping ``a`` and ``b``
+there gives a second valid completion, so such a draw is rejected without a
+search; only the other draws run ``count_solutions(puzzle, 2)``.  At 0.6
+that rejects about 80 % of the failing draws, and the masks it accepts are
+the ones a search of every draw accepts.
+
 The same constraint system can be exported as a logic program over
-``cell(Row,Col,Val)`` atoms and handed to an external solver binary for
-cross-validation (see ``external_solve``).
+``cell(Row,Col,Val)`` atoms (see ``emit_asp_program``).
 """
 
 from __future__ import annotations
 
-import os
 import random
-import re
-import subprocess
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,24 +54,15 @@ from .grids import (
     UNITS,
     PuzzleInstance,
     as_grid,
+    as_solution,
     masked_cell_count,
 )
 
 ALL_DIGITS = 0x1FF  # bits 0..8 <-> digits 1..9
 
-EXTERNAL_SOLVER_ENV = "ASPER_EXTERNAL_SOLVER"
-
 
 class UniquenessError(ValueError):
     """A unique-solution puzzle could not be produced within the retry budget."""
-
-
-class ExternalSolverUnavailable(RuntimeError):
-    """No external solver binary is configured or it cannot be invoked."""
-
-
-class BridgeProtocolError(RuntimeError):
-    """The external solver produced output the bridge cannot interpret."""
 
 
 # Peers of each cell: every other cell sharing a unit with it, ascending.
@@ -259,6 +255,23 @@ def generate_solved(seed: int) -> np.ndarray:
 MASK_RETRY_BUDGET = 1000
 
 
+def _unavoidable_rectangles(solved: np.ndarray) -> list:
+    """The solution's unavoidable rectangles, each as a bitmask of its four
+    flat cells: (r1,c1) (r1,c2) (r2,c1) (r2,c2) holding ``a b / b a`` and
+    lying in exactly two boxes.  Swapping a and b on them gives another
+    valid complete grid."""
+    # swap[r1, r2, c1, c2]: the digit at (r1, c1) is the one at (r2, c2)
+    swap = solved[:, None, :, None] == solved[None, :, None, :]
+    box = CELL_UNITS[:, 2].reshape(GRID_SIZE, GRID_SIZE).tolist()
+    rectangles = []
+    for r1, r2, c1, c2 in np.argwhere(swap & swap.transpose(0, 1, 3, 2)).tolist():
+        # same band or same stack, not both: two boxes (a valid grid never
+        # puts all four cells in one box, which would repeat a digit there)
+        if r1 < r2 and c1 < c2 and (box[r1][c1] == box[r2][c1]) != (box[r1][c1] == box[r1][c2]):
+            rectangles.append(sum(1 << (GRID_SIZE * r + c) for r in (r1, r2) for c in (c1, c2)))
+    return rectangles
+
+
 def mask_puzzle(
     solved,
     difficulty: float,
@@ -267,17 +280,26 @@ def mask_puzzle(
 ) -> PuzzleInstance:
     """Blank round(81*difficulty) seeded-random cells of a solved grid.
 
-    With ``require_unique`` the mask is redrawn (same RNG stream, so still
+    ValueError when ``solved`` is not a valid complete grid.  With
+    ``require_unique`` the mask is redrawn (same RNG stream, so still
     deterministic) until the puzzle has exactly one completion, up to
-    MASK_RETRY_BUDGET attempts.
+    MASK_RETRY_BUDGET draws.  A draw that blanks all four cells of one of
+    the solution's unavoidable rectangles has a second completion (swap the
+    rectangle's two digits), so it is rejected without a search; it still
+    counts against the budget.
     """
-    solved = as_grid(solved)
+    solved = as_solution(solved)
     n_masked = masked_cell_count(difficulty)
     rng = random.Random(seed)
     attempts = MASK_RETRY_BUDGET if require_unique else 1
+    rectangles = _unavoidable_rectangles(solved) if require_unique else []
     for _ in range(attempts):
+        blanks = rng.sample(range(N_CELLS), n_masked)
+        blanked = sum(1 << cell for cell in blanks)
+        if any(rect & blanked == rect for rect in rectangles):
+            continue
         puzzle = solved.copy()
-        puzzle.flat[rng.sample(range(N_CELLS), n_masked)] = 0
+        puzzle.flat[blanks] = 0
         if not require_unique or count_solutions(puzzle, 2) == 1:
             return PuzzleInstance(
                 puzzle=puzzle,
@@ -313,90 +335,3 @@ def emit_asp_program(puzzle) -> str:
             if v:
                 lines.append(f"cell({r + 1},{c + 1},{v}).")
     return "\n".join(lines) + "\n"
-
-
-_ATOM_RE = re.compile(r"cell\((\d),(\d),(\d)\)")
-_MODELS_RE = re.compile(r"Models\s*:\s*(\d+)(\+?)")
-
-
-def _parse_answer_sets(output: str) -> tuple[list, bool | None]:
-    """Extract one grid per answer set from solver output.
-
-    Returns (grids, exhausted) where exhausted is None when the output does
-    not state whether enumeration completed.
-    """
-    lines = output.splitlines()
-    grids = []
-    for k, line in enumerate(lines):
-        if not line.startswith("Answer:"):
-            continue
-        if k + 1 >= len(lines):
-            raise BridgeProtocolError(
-                f"answer header without atom line in solver output:\n{output}"
-            )
-        atoms = _ATOM_RE.findall(lines[k + 1])
-        if len(atoms) != N_CELLS:
-            raise BridgeProtocolError(
-                f"answer set with {len(atoms)} cell atoms (expected 81) "
-                f"in solver output:\n{output}"
-            )
-        grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
-        for r, c, v in atoms:
-            grid[int(r) - 1, int(c) - 1] = int(v)
-        grids.append(grid)
-    exhausted = None
-    m = _MODELS_RE.search(output)
-    if m:
-        exhausted = m.group(2) != "+"
-    return grids, exhausted
-
-
-def external_solve(puzzle, limit: int = 1) -> SolveOutcome:
-    """Solve through the external solver binary named by ASPER_EXTERNAL_SOLVER.
-
-    The binary is invoked with the emitted program on standard input and
-    ``-n <limit>``; its answer sets are parsed back into grids.  Contract
-    matches ``solve``.  Raises ExternalSolverUnavailable when no binary is
-    configured and BridgeProtocolError on uninterpretable output.
-    """
-    puzzle = as_grid(puzzle)
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    binary = os.environ.get(EXTERNAL_SOLVER_ENV)
-    if not binary:
-        raise ExternalSolverUnavailable(
-            f"external solver unavailable: set {EXTERNAL_SOLVER_ENV} to a "
-            "solver executable"
-        )
-    program = emit_asp_program(puzzle)
-    try:
-        proc = subprocess.run(
-            [binary, "-n", str(limit)],
-            input=program,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except (FileNotFoundError, PermissionError) as exc:
-        raise ExternalSolverUnavailable(
-            f"external solver unavailable: cannot execute {binary}: {exc}"
-        ) from exc
-    output = proc.stdout
-    if "UNSATISFIABLE" in output:
-        return SolveOutcome(solutions=[], exhausted=True)
-    if "SATISFIABLE" not in output:
-        raise BridgeProtocolError(
-            f"no SATISFIABLE/UNSATISFIABLE marker in solver output "
-            f"(exit code {proc.returncode}):\n{output}\n{proc.stderr}"
-        )
-    grids, exhausted = _parse_answer_sets(output)
-    # Defensive dedupe; a conforming solver enumerates distinct answer sets.
-    seen, unique = set(), []
-    for g in grids:
-        key = g.tobytes()
-        if key not in seen:
-            seen.add(key)
-            unique.append(g)
-    if exhausted is None:
-        exhausted = len(unique) < limit
-    return SolveOutcome(solutions=unique, exhausted=exhausted)

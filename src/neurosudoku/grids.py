@@ -58,6 +58,14 @@ def is_valid_complete(grid) -> bool:
     return bool((units == DIGITS).all())
 
 
+def as_solution(grid) -> np.ndarray:
+    """Coerce to a 9x9 grid that is a valid complete solution; ValueError otherwise."""
+    grid = as_grid(grid)
+    if not is_valid_complete(grid):
+        raise ValueError("stored solution is not a valid complete grid")
+    return grid
+
+
 def is_consistent_partial(grid) -> bool:
     """True iff no unit contains a duplicate among its nonzero cells."""
     units = np.sort(as_grid(grid).reshape(-1)[UNITS], axis=1)
@@ -113,9 +121,7 @@ class PuzzleInstance:
 
     def validate(self) -> "PuzzleInstance":
         puzzle = as_grid(self.puzzle)
-        solution = as_grid(self.solution)
-        if not is_valid_complete(solution):
-            raise ValueError("stored solution is not a valid complete grid")
+        solution = as_solution(self.solution)
         givens = puzzle != 0
         if not (puzzle[givens] == solution[givens]).all():
             raise ValueError("puzzle givens disagree with the solution")

@@ -1,5 +1,4 @@
 import os
-import stat
 import sys
 
 import numpy as np
@@ -7,10 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from neurosudoku.engine import EXTERNAL_SOLVER_ENV, generate_solved, mask_puzzle
-
-STUB_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "stub_external_solver.py")
+from neurosudoku.engine import generate_solved, mask_puzzle
 
 
 @pytest.fixture
@@ -35,17 +31,3 @@ def one_hot_tensor(grid):
         for j in range(9):
             tensor[i, j, int(grid[i, j]) - 1] = 1.0
     return tensor
-
-
-@pytest.fixture
-def external_stub(monkeypatch):
-    """Point the bridge at the stub solver executable."""
-    mode = os.stat(STUB_PATH).st_mode
-    os.chmod(STUB_PATH, mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
-    monkeypatch.setenv(EXTERNAL_SOLVER_ENV, STUB_PATH)
-    return STUB_PATH
-
-
-@pytest.fixture
-def no_external_solver(monkeypatch):
-    monkeypatch.delenv(EXTERNAL_SOLVER_ENV, raising=False)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neurosudoku.cli import main
-from neurosudoku.engine import PROGRAM_RULES, solve
+from neurosudoku.engine import PROGRAM_RULES
 from neurosudoku.grids import format_grid, is_valid_complete, parse_grid
 from neurosudoku.losses import LossConfig, ablation_config
 from neurosudoku.network import init_params, load_params, save_params
@@ -733,18 +733,6 @@ class TestExportAsp:
         assert run_cli("export-asp", format_grid(puzzle), "--asp-out", str(out)) == 0
         facts = [ln for ln in out.read_text().splitlines() if ln.startswith("cell(")]
         assert len(facts) == int((puzzle != 0).sum())
-
-    def test_exported_program_reproduces_internal_answer(self, tmp_path, solved_grid,
-                                                         external_stub):
-        # the bridge consumes exactly what export-asp writes
-        from neurosudoku.engine import external_solve, mask_puzzle
-
-        inst = mask_puzzle(solved_grid, 0.1, 1)
-        out = tmp_path / "prog.lp"
-        assert run_cli("export-asp", format_grid(inst.puzzle), "--asp-out", str(out)) == 0
-        internal = solve(inst.puzzle, 1)
-        external = external_solve(inst.puzzle, 1)
-        assert (internal.solutions[0] == external.solutions[0]).all()
 
     def test_malformed_puzzle_exits_2(self, capsys):
         assert run_cli("export-asp", "12345") == 2

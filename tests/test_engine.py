@@ -1,21 +1,18 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neurosudoku import engine
 from neurosudoku.engine import (
-    BridgeProtocolError,
-    EXTERNAL_SOLVER_ENV,
-    ExternalSolverUnavailable,
     MASK_RETRY_BUDGET,
     PROGRAM_RULES,
     UniquenessError,
     count_solutions,
     emit_asp_program,
-    external_solve,
     generate_solved,
     mask_puzzle,
     solve,
@@ -239,6 +236,100 @@ class TestMaskPuzzle:
     def test_retry_budget_is_bounded(self):
         assert MASK_RETRY_BUDGET == 1000
 
+    @pytest.mark.parametrize("require_unique", [False, True])
+    def test_non_solution_rejected_before_any_draw(self, solved_grid, require_unique):
+        swapped = solved_grid.copy()
+        swapped[0, [0, 1]] = swapped[0, [1, 0]]  # rows stay valid, columns do not
+        incomplete = solved_grid.copy()
+        incomplete[4, 4] = 0
+        for bad in (swapped, incomplete):
+            with pytest.raises(ValueError, match="^stored solution is not a valid complete grid$"):
+                mask_puzzle(bad, 0.6, 0, require_unique=require_unique)
+
+    # sha256 over mask_puzzle(generate_solved(s), d, s, require_unique=True).puzzle
+    # for s = 0..59, recorded when every draw was searched
+    @pytest.mark.parametrize("difficulty,digest", [
+        (0.3, "9e6d66f4a8ead5bbf2e5c66ba85b0f7c63c8ed4aabc0fc4c3e6f1e8089f0685a"),
+        (0.6, "46db77e3f7cf37a5238003d4ee7283846b9548ddccb0fae7ef5433aadf710032"),
+    ])
+    def test_unique_masks_are_pinned(self, difficulty, digest):
+        puzzles = (mask_puzzle(generate_solved(s), difficulty, s, require_unique=True).puzzle
+                   for s in range(60))
+        assert hashlib.sha256(b"".join(p.tobytes() for p in puzzles)).hexdigest() == digest
+
+    def test_rejected_draws_count_against_the_budget(self, solved_grid, monkeypatch):
+        # replay the RNG stream, searching every draw, to find the draw that
+        # is accepted; a budget one short of it must fail
+        rng, draws, rejected = random.Random(5), 0, 0
+        rectangles = engine._unavoidable_rectangles(solved_grid)
+        while True:
+            draws += 1
+            blanks = rng.sample(range(81), masked_cell_count(0.6))
+            blanked = sum(1 << cell for cell in blanks)
+            rejected += any(rect & blanked == rect for rect in rectangles)
+            puzzle = solved_grid.copy()
+            puzzle.flat[blanks] = 0
+            if count_solutions(puzzle, 2) == 1:
+                break
+        assert rejected > 0  # the budget is spent on rectangle rejections too
+        monkeypatch.setattr(engine, "MASK_RETRY_BUDGET", draws - 1)
+        with pytest.raises(UniquenessError):
+            mask_puzzle(solved_grid, 0.6, 5, require_unique=True)
+        monkeypatch.setattr(engine, "MASK_RETRY_BUDGET", draws)
+        assert (mask_puzzle(solved_grid, 0.6, 5, require_unique=True).puzzle == puzzle).all()
+
+
+def rectangle_cells(rect):
+    return [cell for cell in range(81) if rect >> cell & 1]
+
+
+class TestUnavoidableRectangles:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_swap_gives_another_solution_in_exactly_four_cells(self, seed):
+        solved = generate_solved(seed)
+        rectangles = engine._unavoidable_rectangles(solved)
+        assert len(set(rectangles)) == len(rectangles)
+        for rect in rectangles:
+            cells = rectangle_cells(rect)
+            flat = solved.reshape(-1).copy()
+            a, b = sorted(set(flat[cells].tolist()))
+            flat[cells] = np.where(flat[cells] == a, b, a)
+            assert is_valid_complete(flat)
+            assert np.flatnonzero(flat != solved.reshape(-1)).tolist() == cells
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_finds_every_swappable_rectangle(self, seed):
+        solved = generate_solved(seed)
+        expected = set()
+        for r1 in range(9):
+            for r2 in range(r1 + 1, 9):
+                for c1 in range(9):
+                    for c2 in range(c1 + 1, 9):
+                        other = solved.copy()  # swap columns c1 and c2 on rows r1 and r2
+                        other[[r1, r2], c1] = solved[[r1, r2], c2]
+                        other[[r1, r2], c2] = solved[[r1, r2], c1]
+                        if is_valid_complete(other):
+                            expected.add(sum(1 << (9 * r + c) for r in (r1, r2) for c in (c1, c2)))
+        assert set(engine._unavoidable_rectangles(solved)) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), pick=st.integers(0, 100), n_extra=st.integers(0, 30))
+    def test_blanking_a_rectangle_leaves_two_completions(self, seed, pick, n_extra):
+        solved = generate_solved(seed)
+        rectangles = engine._unavoidable_rectangles(solved)
+        assume(rectangles)  # seed 9525's grid has none
+        cells = rectangle_cells(rectangles[pick % len(rectangles)])
+        others = [c for c in np.random.default_rng(seed).permutation(81).tolist() if c not in cells]
+        puzzle = solved.reshape(-1).copy()
+        puzzle[cells + others[:n_extra]] = 0
+        puzzle = puzzle.reshape(9, 9)
+        assert count_solutions(puzzle, 2) == 2
+        if n_extra <= 10:
+            naive_solutions, _ = solve_naive(puzzle, 2)
+            assert len(naive_solutions) == 2
+
 
 class TestEmitProgram:
     def test_empty_grid_emits_exactly_the_rules(self):
@@ -267,51 +358,3 @@ class TestEmitProgram:
         program = emit_asp_program(solved_grid)
         assert "\r" not in program
         assert program.endswith("\n")
-
-
-class TestExternalSolve:
-    def test_unavailable_without_configuration(self, no_external_solver):
-        with pytest.raises(ExternalSolverUnavailable, match="external solver unavailable"):
-            external_solve(np.zeros((9, 9), dtype=int), 1)
-
-    def test_matches_internal_on_forced_puzzle(self, external_stub, solved_grid):
-        puzzle = solved_grid.copy()
-        puzzle[0, 3] = 0
-        internal = solve(puzzle, 2)
-        external = external_solve(puzzle, 2)
-        assert grids_as_set(internal.solutions) == grids_as_set(external.solutions)
-        assert external.exhausted
-
-    def test_limit_one_on_unique_puzzle(self, external_stub, solved_grid):
-        inst = mask_puzzle(solved_grid, 0.1, 8, require_unique=True)
-        outcome = external_solve(inst.puzzle, 1)
-        assert len(outcome.solutions) == 1
-        assert (outcome.solutions[0] == solved_grid).all()
-
-    def test_unsatisfiable_puzzle(self, external_stub):
-        puzzle = np.zeros((9, 9), dtype=int)
-        puzzle[0, 0] = puzzle[0, 1] = 4
-        outcome = external_solve(puzzle, 2)
-        assert outcome.solutions == []
-        assert outcome.exhausted
-
-    def test_agreement_with_internal_solver_on_samples(self, external_stub):
-        for seed in range(6):
-            inst = mask_puzzle(generate_solved(seed), 0.1, seed)
-            internal = solve(inst.puzzle, 3)
-            external = external_solve(inst.puzzle, 3)
-            assert grids_as_set(internal.solutions) == grids_as_set(external.solutions)
-            assert internal.exhausted == external.exhausted
-
-    def test_protocol_error_on_garbage_output(self, tmp_path, monkeypatch):
-        garbage = tmp_path / "garbage_solver.sh"
-        garbage.write_text("#!/bin/sh\necho 'not a solver'\n")
-        garbage.chmod(0o755)
-        monkeypatch.setenv(EXTERNAL_SOLVER_ENV, str(garbage))
-        with pytest.raises(BridgeProtocolError):
-            external_solve(np.zeros((9, 9), dtype=int), 1)
-
-    def test_unavailable_on_missing_binary(self, monkeypatch):
-        monkeypatch.setenv(EXTERNAL_SOLVER_ENV, "/nonexistent/solver-binary")
-        with pytest.raises(ExternalSolverUnavailable):
-            external_solve(np.zeros((9, 9), dtype=int), 1)
