@@ -8,13 +8,14 @@ optional comparison rendering), ``export-asp`` (logic-program export).
 Each subcommand takes exactly the flags it reads: ``SHARED_FLAGS`` declares
 once each flag that several subcommands take, and ``build_parser`` lists each
 subcommand's.  ``--config <json>`` names an experiment config file; a flag
-the user sets overrides its key.  A ``--flag value`` or ``--flag=value``
-before the subcommand is shorthand for the same flag after it.  The library
-function that consumes an input checks its rules; this module only parses
-text.  Exit code 0 iff all requested work succeeded; a flag the subcommand
-does not read and every ``ValueError`` (the library's type for bad input)
-exit 2; a file that cannot be read or written (``OSError``, whose message
-names the path) and other runtime failures exit 1.
+the user sets overrides its key.  A ``--flag value``, ``--flag=value`` or
+no-value ``--flag`` before the subcommand is shorthand for the same flag
+after it.  The library function that consumes an input checks its rules;
+this module only parses text.  Exit code 0 iff all requested work
+succeeded; a flag the subcommand does not read and every ``ValueError``
+(the library's type for bad input) exit 2; a file that cannot be read or
+written (``OSError``, whose message names the path) and other runtime
+failures exit 1.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def cmd_train(args, settings: dict) -> int:
 def cmd_eval(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
     dataset = training.load_dataset(args.data)
+    difficulty = training.dataset_difficulty(dataset)
     result = training.kfold_evaluate(dataset, cfg)
-    rows = training.result_rows(result, len(dataset), dataset[0].difficulty)
+    rows = training.result_rows(result, len(dataset), difficulty)
     csv_path = _out_path(args, args.csv_out, "results.csv")
     training.write_results_csv(rows, csv_path)
     print(f"accuracy all-cells  : {result.mean_all:.4f} +/- {result.std_all:.4f}")
@@ -304,19 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_first(argv: list) -> list:
-    """Move the ``--flag value`` and ``--flag=value`` arguments before the
-    subcommand to the end, where the subcommand's parser reads them and, for
-    a flag it does not take, names the flag and its value, not a positional."""
+def _subcommand_first(argv: list, parser: argparse.ArgumentParser) -> list:
+    """Move the ``--flag value``, ``--flag=value`` and no-value ``--flag``
+    arguments before the subcommand to the end, where the subcommand's parser
+    reads them and, for a flag it does not take, names the flag and its
+    value, not a positional.  The no-value flags (``--render``) are those of
+    ``parser``'s subcommands."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    no_value_flags = {flag for sub in commands.choices.values() for action in sub._actions
+                      if action.nargs == 0 for flag in action.option_strings}
     lead = 0
     while lead < len(argv) and argv[lead].startswith("--"):
-        lead += 1 if "=" in argv[lead] else 2
+        lead += 1 if "=" in argv[lead] or argv[lead] in no_value_flags else 2
     return argv[lead:] + argv[:lead]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, unread = build_parser().parse_known_args(_subcommand_first(argv))
+    parser = build_parser()
+    args, unread = parser.parse_known_args(_subcommand_first(argv, parser))
     if unread:  # reported by the subcommand's parser, with its own usage line
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:

@@ -8,10 +8,10 @@ puzzle (in a seeded shuffle), computes the combined loss of the network's
 prediction against that puzzle's solution and mask, and applies one Adam
 update per puzzle (batch size 1).
 
-``run_grid`` builds its datasets in the calling process and runs each
-cell's k-fold evaluation in a forked worker process, one worker per CPU
-the process may use.  Every cell is deterministic and the cells come back
-in nesting order, so the output does not depend on the worker count.
+``run_grid`` runs each cell, a dataset build and its k-fold evaluation, as
+one job in a forked worker process, one worker per CPU the process may use.
+Every cell is deterministic and the cells come back in nesting order, so
+the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -244,6 +244,15 @@ def load_dataset(path):
     return instances
 
 
+def dataset_difficulty(dataset) -> float:
+    """The one difficulty that the dataset's instances were masked at, the
+    label of its results; ValueError names those of an empty or mixed one."""
+    difficulties = sorted({inst.difficulty for inst in dataset})
+    if len(difficulties) != 1:
+        raise ValueError(f"dataset needs one difficulty, has {difficulties}")
+    return difficulties[0]
+
+
 def train(dataset, config: TrainConfig, init_seed: int):
     """Train a fresh model on the dataset.
 
@@ -456,17 +465,22 @@ def run_grid(rows, seeds, ablations, run: TrainConfig):
     """Check the whole grid, then return an iterator of one GridCell per
     (row, base seed, ablation), nested in that order.
 
-    ``rows`` are (n_puzzles, difficulty) pairs.  One dataset is built per
-    (row, seed) and shared by its ablations; each cell's config is ``run``
-    with that seed and the ablation's weights in ``run``'s constraint mode.
-    ValueError before any work for no rows, seeds or ablations, an unknown
-    label, a difficulty outside (0, 1) or a row with fewer puzzles than
-    ``run.folds``.  A cell whose dataset build or k-fold run raises comes
-    out with ``error`` set and no result, and the grid carries on.
+    ``rows`` are (n_puzzles, difficulty) pairs.  A cell trains on
+    ``build_dataset(n_puzzles, difficulty, seed)`` with ``run``'s config,
+    that seed and the ablation's weights in ``run``'s constraint mode.
+    ValueError before any work for no rows, seeds or ablations, a repeated
+    one, an unknown label, a difficulty outside (0, 1) or a row with fewer
+    puzzles than ``run.folds``.  A cell whose dataset build or k-fold run
+    raises comes out with ``error`` set and no result, and the grid
+    carries on.
     """
     loss_configs = [ablation_config(label, run.loss.constraint_mode) for label in ablations]
     if not (rows and seeds and loss_configs):
         raise ValueError("the grid needs at least one row, one seed and one ablation")
+    for kind, values in (("row", rows), ("seed", seeds), ("ablation", ablations)):
+        repeats = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeats:
+            raise ValueError(f"the grid repeats {kind} {repeats[0]}")
     for n, difficulty in rows:
         masked_cell_count(difficulty)
         if n < run.folds:
@@ -483,53 +497,38 @@ def _pool_size(n_cells: int) -> int:
     return min(n_cells, os.cpu_count() or 1)
 
 
-def _evaluate_cell(dataset, config: TrainConfig):
-    """(result, None) or (None, error message) for one cell, run in a worker;
-    the message travels back instead of an exception that might not pickle."""
+def _evaluate_cell(n_puzzles: int, difficulty: float, config: TrainConfig):
+    """(result, None) or (None, error message) for one cell, run in a worker
+    that builds the cell's dataset itself; the message travels back instead
+    of an exception that might not pickle."""
+    stage = "dataset"
     try:
+        dataset = build_dataset(n_puzzles, difficulty, config.seed)
+        stage = "evaluate"
         return kfold_evaluate(dataset, config), None
     except Exception as exc:
-        return None, f"evaluate: {exc}"
+        return None, f"{stage}: {exc}"
 
 
 def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
-    # Datasets are built here, in nesting order; each cell's k-fold run is a
-    # job in a worker, and the cells come back in submission order.  After
-    # each (row, seed) is submitted, the finished cells at the head of the
-    # queue are yielded, so output starts while later datasets are built.
-    # Workers are forked (named, since Python 3.14 changes the Linux
-    # default): they inherit the loaded modules as they are, numpy included,
-    # and the pool forks them all before it starts its own thread.  Closing
-    # the iterator early cancels the cells not yet handed to a worker and
-    # builds no further dataset.  The pool modules are imported here, not at
-    # the top: they add about 10 ms to every command's start, and only the
-    # grid uses them.
+    # One job per cell, submitted in nesting order; cells are yielded in that
+    # order as their jobs finish, and closing the iterator early cancels the
+    # jobs no worker has taken.  Workers are forked (named, since Python 3.14
+    # changes the Linux default): they inherit the loaded modules, numpy
+    # included, and the pool forks them all before it starts its own thread.
+    # The pool modules are imported here, not at the top: they add about
+    # 10 ms to every command's start, and only the grid uses them.
     import multiprocessing
-    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    def cell(n, difficulty, config, job, dataset_error):
-        result, error = (None, dataset_error) if job is None else job.result()
-        return GridCell(n, difficulty, config, result, error)
-
-    n_cells = len(rows) * len(seeds) * len(loss_configs)
-    pool = ProcessPoolExecutor(_pool_size(n_cells), mp_context=multiprocessing.get_context("fork"))
+    cells = [(n, difficulty, replace(run, seed=seed, loss=loss))
+             for n, difficulty in rows for seed in seeds for loss in loss_configs]
+    pool = ProcessPoolExecutor(_pool_size(len(cells)),
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        jobs = deque()
-        for n, difficulty in rows:
-            for seed in seeds:
-                try:
-                    dataset, dataset_error = build_dataset(n, difficulty, seed), None
-                except Exception as exc:  # every ablation of this (row, seed) fails
-                    dataset, dataset_error = None, f"dataset: {exc}"
-                for loss in loss_configs:
-                    config = replace(run, seed=seed, loss=loss)
-                    job = None if dataset is None else pool.submit(_evaluate_cell, dataset, config)
-                    jobs.append((n, difficulty, config, job, dataset_error))
-                while jobs and (jobs[0][3] is None or jobs[0][3].done()):
-                    yield cell(*jobs.popleft())
-        while jobs:
-            yield cell(*jobs.popleft())
+        jobs = [pool.submit(_evaluate_cell, *cell) for cell in cells]
+        for cell, job in zip(cells, jobs):
+            yield GridCell(*cell, *job.result())
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -221,6 +221,22 @@ class TestTrainEval:
         assert err.startswith("error:") and "ValueError" not in err
         assert not out.exists()
 
+    def test_mixed_difficulties_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        from neurosudoku import training
+
+        data = tmp_path / "data.jsonl"
+        easy, hard = tmp_path / "easy.jsonl", tmp_path / "hard.jsonl"
+        run_cli("gen", "--n", "6", "--difficulty", "0.1", "--data-out", str(easy))
+        run_cli("gen", "--n", "6", "--difficulty", "0.8", "--data-out", str(hard))
+        data.write_text(easy.read_text() + hard.read_text())
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+        out = tmp_path / "results.csv"
+        assert run_cli("eval", "--data", str(data), "--csv-out", str(out)) == 2
+        assert "dataset needs one difficulty, has [0.1, 0.8]" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from neurosudoku import training
         from neurosudoku.network import NumericOverflowError
@@ -312,8 +328,10 @@ class TestTable1:
         (("--rows", "4:0.1", "--ablations", "standard-only,nope"),
          "unknown ablation label: 'nope'"),
         (("--rows", "4:0.1,12:1.5"), "difficulty must be in (0,1), got 1.5"),
+        (("--rows", "4:0.1,4:0.1", "--seeds", "0,0", "--ablations", "standard-only,standard-only"),
+         "the grid repeats row (4, 0.1)"),
     ], ids=["rows-empty", "seeds-empty", "ablations-empty", "quick-keeps-no-row",
-            "unknown-ablation", "difficulty-1.5"])
+            "unknown-ablation", "difficulty-1.5", "repeated-cells"])
     def test_empty_or_bad_grid_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
         out = tmp_path / "t1"
         assert run_cli("--out", str(out), "table1", *argv) == 2
@@ -666,6 +684,20 @@ class TestFlags:
         assert run_cli("gen", "--seed", "5", "--n", "3", "--data-out", str(b)) == 0
         assert run_cli("gen", "--n", "3", "--data-out", str(c)) == 0
         assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("first,second", [("--render", "--no-color"),
+                                              ("--no-color", "--render")],
+                             ids=["render-first", "no-color-first"])
+    def test_no_value_flag_before_subcommand_means_the_same(self, model_file, solved_grid,
+                                                            capsys, first, second):
+        puzzle = solved_grid.copy()
+        puzzle[0, :4] = 0
+        argv = ["--model", model_file, format_grid(puzzle), "--solution", format_grid(solved_grid)]
+        assert run_cli("solve", *argv, first, second) == 0
+        after = capsys.readouterr().out
+        assert run_cli(first, "solve", *argv, second) == 0
+        assert capsys.readouterr().out == after
+        assert "predicted cells correct" in after
 
     def test_unread_flag_before_a_positional_is_named(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

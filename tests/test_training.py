@@ -89,6 +89,13 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset(0, 0.3, 0)
 
+    def test_difficulty_of_one_and_of_mixed_difficulties(self):
+        assert training.dataset_difficulty(build_dataset(3, 0.3, 0)) == 0.3
+        mixed = build_dataset(2, 0.8, 0) + build_dataset(2, 0.1, 5)
+        message = "dataset needs one difficulty, has [0.1, 0.8]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            training.dataset_difficulty(mixed)
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
@@ -442,17 +449,10 @@ class TestRunGrid:
         ]
         assert all(c.error is None and c.result.config == c.config for c in cells)
 
-    def test_one_dataset_per_row_and_seed(self, monkeypatch):
-        calls = []
-
-        def counting_build(n, difficulty, seed):
-            calls.append((n, difficulty, seed))
-            return build_dataset(n, difficulty, seed)
-
-        monkeypatch.setattr(training, "build_dataset", counting_build)
-        cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
-        assert len(cells) == len(GRID_ROWS) * len(GRID_SEEDS) * len(GRID_ABLATIONS)
-        assert calls == [(n, d, seed) for (n, d), seed in itertools.product(GRID_ROWS, GRID_SEEDS)]
+    def test_each_cell_trains_on_its_row_and_seed_dataset(self):
+        for cell in run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN):
+            dataset = build_dataset(cell.n_puzzles, cell.difficulty, cell.config.seed)
+            assert cell.result.fingerprint == dataset_fingerprint(dataset)
 
     def test_each_cell_equals_a_direct_kfold_run(self):
         for cell in run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN):
@@ -473,8 +473,12 @@ class TestRunGrid:
         ([], [0], ["standard-only"], "the grid needs at least one row"),
         ([(4, 0.1)], [], ["standard-only"], "the grid needs at least one row"),
         ([(4, 0.1)], [0], [], "the grid needs at least one row"),
+        ([(4, 0.1), (3, 0.3), (4, 0.1)], [0], ["standard-only"], "the grid repeats row (4, 0.1)"),
+        ([(4, 0.1)], [0, 1, 0], ["standard-only"], "the grid repeats seed 0"),
+        ([(4, 0.1)], [0], ["standard-only", "all-combined", "standard-only"],
+         "the grid repeats ablation standard-only"),
     ], ids=["unknown-label", "difficulty-1.5", "fewer-puzzles-than-folds", "no-rows",
-            "no-seeds", "no-ablations"])
+            "no-seeds", "no-ablations", "repeated-row", "repeated-seed", "repeated-ablation"])
     def test_bad_grid_raises_before_any_dataset(self, monkeypatch, rows, seeds, ablations,
                                                  message):
         calls = []
@@ -542,32 +546,29 @@ class TestRunGrid:
         assert len(list(tmp_path.iterdir())) < n_cells
 
     def test_output_starts_before_the_last_dataset_is_built(self, monkeypatch, tmp_path):
-        built = []
-
-        def build_after_first_cell(n, difficulty, seed):
-            if built:  # later datasets wait until the first cell's result is back
+        # Workers build the datasets, so each build leaves a marker file; every
+        # build after the first waits until the first cell has been taken.
+        def marking_build(n, difficulty, seed):
+            built = len(list(tmp_path.glob("built-*")))
+            if built:
                 deadline = time.monotonic() + 30
-                while not (tmp_path / "evaluated").exists() and time.monotonic() < deadline:
+                while not (tmp_path / "taken").exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                time.sleep(0.5)
-            built.append((n, difficulty, seed))
-            return build_dataset(n, difficulty, seed)
+            dataset = build_dataset(n, difficulty, seed)
+            (tmp_path / f"built-{built}").touch()
+            return dataset
 
-        def marking_evaluate(dataset, config):
-            result = kfold_evaluate(dataset, config)
-            (tmp_path / "evaluated").touch()
-            return result
-
-        monkeypatch.setattr(training, "build_dataset", build_after_first_cell)
-        monkeypatch.setattr(training, "kfold_evaluate", marking_evaluate)
+        monkeypatch.setattr(training, "build_dataset", marking_build)
         monkeypatch.setattr(training, "_pool_size", lambda n_cells: 1)
         cells = run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN)
         first = next(cells)
         assert (first.n_puzzles, first.config.seed, first.error) == (4, 0, None)
-        n_built = len(built)
-        assert n_built < len(GRID_ROWS) * len(GRID_SEEDS)
+        assert len(list(tmp_path.glob("built-*"))) == 1
+        (tmp_path / "taken").touch()
         cells.close()
-        assert len(built) == n_built  # closing builds no further dataset
+        # closing builds no dataset for the cells not yet handed to a worker
+        n_cells = len(GRID_ROWS) * len(GRID_SEEDS) * len(GRID_ABLATIONS)
+        assert len(list(tmp_path.glob("built-*"))) < n_cells
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_workers_run_on_one_thread(self, monkeypatch):
