@@ -54,7 +54,7 @@ print("constraints:    uniform, fixed-target, no empties =",
       "(27 units x 9 digits x 1^2)")
 
 # The combined loss is the weighted sum of whichever components the
-# ablation enables.
+# ablation enables; the breakdown measures all three whatever their weights.
 for label in ("standard-only", "standard+expert", "standard+constraints",
               "all-combined"):
     b = combined_loss(tensor, inst, ablation_config(label))

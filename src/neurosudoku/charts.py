@@ -53,18 +53,9 @@ def render_prediction(predicted, solution, mask) -> RenderedGrid:
     predicted = as_grid(predicted)
     solution = as_grid(solution)
     mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
-    status = []
-    for i in range(GRID_SIZE):
-        row = []
-        for j in range(GRID_SIZE):
-            if not mask[i, j]:
-                row.append(STATUS_GIVEN)
-            elif predicted[i, j] == solution[i, j]:
-                row.append(STATUS_CORRECT)
-            else:
-                row.append(STATUS_WRONG)
-        status.append(row)
-    return RenderedGrid(grid=predicted, status=status)
+    status = np.where(mask, np.where(predicted == solution, STATUS_CORRECT, STATUS_WRONG),
+                      STATUS_GIVEN)
+    return RenderedGrid(grid=predicted, status=status.tolist())
 
 
 def grid_to_text(rendered: RenderedGrid, color: bool = True) -> str:

@@ -181,12 +181,10 @@ def cmd_solve(args, settings: dict) -> int:
         settings, "postprocess_mode", str, training.TrainConfig.postprocess_mode))
     solution = None
     if args.solution is not None:
-        solution = grids.parse_grid(args.solution)
-        if not grids.is_valid_complete(solution):
-            raise ValueError("--solution is not a valid complete grid")
-        given = puzzle != 0
-        if not (solution[given] == puzzle[given]).all():
-            raise ValueError("--solution disagrees with the puzzle's givens")
+        try:
+            _, solution = grids.as_completion(puzzle, grids.parse_grid(args.solution))
+        except ValueError as exc:
+            raise ValueError(f"bad --solution: {exc}") from None
     elif args.render or args.render_svg:
         raise ValueError("--render and --render-svg need --solution to compare against")
     params, _ = network.load_params(args.model)
@@ -194,16 +192,12 @@ def cmd_solve(args, settings: dict) -> int:
     print(grids.format_grid(predicted))
     if solution is None:
         return 0
-    rendered = charts.render_prediction(predicted, solution, puzzle == 0)
+    mask = puzzle == 0
+    rendered = charts.render_prediction(predicted, solution, mask)
     if args.render:
         print(charts.grid_to_text(rendered, color=not args.no_color))
-        correct = sum(
-            row.count(charts.STATUS_CORRECT) for row in rendered.status
-        )
-        predicted_cells = sum(
-            1 for row in rendered.status for s in row if s != charts.STATUS_GIVEN
-        )
-        print(f"predicted cells correct: {correct}/{predicted_cells}")
+        correct = int((predicted == solution)[mask].sum())
+        print(f"predicted cells correct: {correct}/{int(mask.sum())}")
     if args.render_svg:
         with open(args.render_svg, "w", encoding="utf-8") as fh:
             fh.write(charts.grid_to_svg(rendered))

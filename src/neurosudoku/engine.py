@@ -201,7 +201,7 @@ def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
     return cands
 
 
-def solve(puzzle, limit: int = 1, _order_bits=_bits_ascending) -> SolveOutcome:
+def solve(puzzle, limit: int = 1) -> SolveOutcome:
     """Find up to ``limit`` distinct completions of the puzzle.
 
     Every returned grid satisfies all row/column/box constraints and agrees
@@ -210,17 +210,17 @@ def solve(puzzle, limit: int = 1, _order_bits=_bits_ascending) -> SolveOutcome:
     An inconsistent puzzle yields an empty, exhausted outcome rather than
     an error.
     """
-    outcome = _complete(puzzle, limit, _order_bits)
+    outcome = _complete(puzzle, limit)
     outcome.solutions = [_cands_to_grid(cands) for cands in outcome.solutions]
     return outcome
 
 
 def count_solutions(puzzle, cap: int) -> int:
     """min(cap, number of completions of the puzzle)."""
-    return len(_complete(puzzle, cap, _bits_ascending).solutions)
+    return len(_complete(puzzle, cap).solutions)
 
 
-def _complete(puzzle, limit: int, order_bits) -> SolveOutcome:
+def _complete(puzzle, limit: int, order_bits=_bits_ascending) -> SolveOutcome:
     """``solve``'s search, with the completions left as candidate lists."""
     puzzle = as_grid(puzzle)
     if limit < 1:
@@ -248,8 +248,8 @@ def generate_solved(seed: int) -> np.ndarray:
         rng.shuffle(bits)
         return bits
 
-    outcome = solve(np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64), 1, shuffled_bits)
-    return outcome.solutions[0]
+    outcome = _complete(np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64), 1, shuffled_bits)
+    return _cands_to_grid(outcome.solutions[0])
 
 
 MASK_RETRY_BUDGET = 1000

@@ -62,8 +62,18 @@ def as_solution(grid) -> np.ndarray:
     """Coerce to a 9x9 grid that is a valid complete solution; ValueError otherwise."""
     grid = as_grid(grid)
     if not is_valid_complete(grid):
-        raise ValueError("stored solution is not a valid complete grid")
+        raise ValueError("solution is not a valid complete grid")
     return grid
+
+
+def as_completion(puzzle, solution):
+    """(puzzle, solution) as grids; ValueError unless the solution completes the puzzle."""
+    puzzle = as_grid(puzzle)
+    solution = as_solution(solution)
+    givens = puzzle != 0
+    if not (puzzle[givens] == solution[givens]).all():
+        raise ValueError("solution disagrees with the puzzle's givens")
+    return puzzle, solution
 
 
 def is_consistent_partial(grid) -> bool:
@@ -120,12 +130,8 @@ class PuzzleInstance:
         return self.puzzle == 0
 
     def validate(self) -> "PuzzleInstance":
-        puzzle = as_grid(self.puzzle)
-        solution = as_solution(self.solution)
-        givens = puzzle != 0
-        if not (puzzle[givens] == solution[givens]).all():
-            raise ValueError("puzzle givens disagree with the solution")
-        n_masked = N_CELLS - int(givens.sum())
+        puzzle, _ = as_completion(self.puzzle, self.solution)
+        n_masked = int((puzzle == 0).sum())
         expected = masked_cell_count(self.difficulty)
         if n_masked != expected:
             raise ValueError(
@@ -135,7 +141,7 @@ class PuzzleInstance:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse the 81-character line format: digits 1-9, '.' or '0' for empty.
+    """Parse the 81-character line format: ASCII 1-9, '.' or '0' for empty.
 
     Raises ValueError naming the position of the first bad character.
     """
@@ -146,7 +152,7 @@ def parse_grid(text: str) -> np.ndarray:
     for pos, ch in enumerate(text):
         if ch in ".0":
             continue
-        if ch.isdigit():
+        if ch in "123456789":
             cells[pos] = int(ch)
         else:
             raise ValueError(f"invalid character {ch!r} at position {pos}")

@@ -21,7 +21,9 @@ Constraint target modes:
   the unit (floored at 0), so the true solution scores exactly zero.
 
 The combined loss is the weighted sum alpha*standard + beta*constraints +
-gamma*expert; zero-weight components are skipped and reported as 0.
+gamma*expert.  ``combined_loss`` (validation) measures every component
+whatever its weight; ``combined_loss_grad`` (training) skips zero-weight
+components and reports them as 0.
 """
 
 from __future__ import annotations
@@ -152,9 +154,16 @@ def expert_loss_grad(pred: np.ndarray):
     return float(np.abs(gap).sum()), d_pred.reshape(pred.shape)
 
 
+def _weighted(config: LossConfig, std: float, cons: float, exp_: float) -> LossBreakdown:
+    return LossBreakdown(std, cons, exp_,
+                         config.alpha * std + config.beta * cons + config.gamma * exp_)
+
+
 def combined_loss(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig) -> LossBreakdown:
-    """Weighted sum of the active components; zero-weight ones report 0."""
-    return combined_loss_grad(pred, instance, config)[0]
+    """Every component, measured whatever its weight, and their weighted sum."""
+    return _weighted(config, standard_loss(pred, instance.solution),
+                     constraints_loss(pred, instance.puzzle, config.constraint_mode),
+                     expert_loss(pred))
 
 
 def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig):
@@ -173,5 +182,4 @@ def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossC
     if config.gamma != 0.0:
         exp_, d_exp = expert_loss_grad(pred)
         d_pred += config.gamma * d_exp
-    combined = config.alpha * std + config.beta * cons + config.gamma * exp_
-    return LossBreakdown(std, cons, exp_, combined), d_pred
+    return _weighted(config, std, cons, exp_), d_pred

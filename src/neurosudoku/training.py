@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -111,6 +111,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         _check_postprocess_mode(self.postprocess_mode)
@@ -375,12 +377,7 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
             acc_all.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_ALL))
             acc_empty.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_EMPTY))
             parts.append(combined_loss(tensor, inst, config.loss))
-        val_loss = LossBreakdown(
-            standard=float(np.mean([p.standard for p in parts])),
-            constraints=float(np.mean([p.constraints for p in parts])),
-            expert=float(np.mean([p.expert for p in parts])),
-            combined=float(np.mean([p.combined for p in parts])),
-        )
+        val_loss = LossBreakdown(*(float(np.mean(column)) for column in zip(*map(astuple, parts))))
         fold_results.append(FoldResult(
             fold=fold_idx,
             accuracy_all=float(np.mean(acc_all)),
@@ -462,20 +459,19 @@ class GridCell:
 
 
 def run_grid(rows, seeds, ablations, run: TrainConfig):
-    """Check the whole grid, then return an iterator of one GridCell per
-    (row, base seed, ablation), nested in that order.
+    """Check the whole grid and every cell's config, then return an iterator
+    of one GridCell per (row, base seed, ablation), nested in that order.
 
     ``rows`` are (n_puzzles, difficulty) pairs.  A cell trains on
     ``build_dataset(n_puzzles, difficulty, seed)`` with ``run``'s config,
     that seed and the ablation's weights in ``run``'s constraint mode.
     ValueError before any work for no rows, seeds or ablations, a repeated
-    one, an unknown label, a difficulty outside (0, 1) or a row with fewer
-    puzzles than ``run.folds``.  A cell whose dataset build or k-fold run
-    raises comes out with ``error`` set and no result, and the grid
-    carries on.
+    one, a difficulty outside (0, 1), a row with fewer puzzles than
+    ``run.folds``, an unknown label or a seed ``TrainConfig`` rejects.  A
+    cell whose dataset build or k-fold run raises comes out with ``error``
+    set and no result, and the grid carries on.
     """
-    loss_configs = [ablation_config(label, run.loss.constraint_mode) for label in ablations]
-    if not (rows and seeds and loss_configs):
+    if not (rows and seeds and ablations):
         raise ValueError("the grid needs at least one row, one seed and one ablation")
     for kind, values in (("row", rows), ("seed", seeds), ("ablation", ablations)):
         repeats = [value for i, value in enumerate(values) if value in values[:i]]
@@ -485,7 +481,9 @@ def run_grid(rows, seeds, ablations, run: TrainConfig):
         masked_cell_count(difficulty)
         if n < run.folds:
             raise ValueError(f"row {n}:{difficulty} has fewer puzzles than folds={run.folds}")
-    return _grid_cells(rows, seeds, loss_configs, run)
+    mode = run.loss.constraint_mode
+    return _grid_cells([(n, d, replace(run, seed=seed, loss=ablation_config(label, mode)))
+                        for n, d in rows for seed in seeds for label in ablations])
 
 
 def _pool_size(n_cells: int) -> int:
@@ -510,7 +508,7 @@ def _evaluate_cell(n_puzzles: int, difficulty: float, config: TrainConfig):
         return None, f"{stage}: {exc}"
 
 
-def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
+def _grid_cells(cells):
     # One job per cell, submitted in nesting order; cells are yielded in that
     # order as their jobs finish, and closing the iterator early cancels the
     # jobs no worker has taken.  Workers are forked (named, since Python 3.14
@@ -521,8 +519,6 @@ def _grid_cells(rows, seeds, loss_configs, run: TrainConfig):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cells = [(n, difficulty, replace(run, seed=seed, loss=loss))
-             for n, difficulty in rows for seed in seeds for loss in loss_configs]
     pool = ProcessPoolExecutor(_pool_size(len(cells)),
                                mp_context=multiprocessing.get_context("fork"))
     try:

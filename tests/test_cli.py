@@ -42,6 +42,12 @@ class TestGen:
         run_cli("--seed", "5", "gen", "--n", "4", "--difficulty", "0.3", "--data-out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_is_accepted(self, tmp_path):
+        # gen's seed only seeds the puzzle RNGs, which take any integer
+        out = tmp_path / "d.jsonl"
+        assert run_cli("gen", "--n", "2", "--seed", "-1", "--data-out", str(out)) == 0
+        assert [inst.seed for inst in load_dataset(out)] == [-1, 0]
+
     def test_difficulty_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli("gen", "--difficulty", "1.5", "--data-out", str(tmp_path / "d.jsonl"))
         assert code == 2
@@ -151,9 +157,11 @@ class TestTrainEval:
         ("eval", ("--lr", "inf"), "lr must be finite and > 0"),
         ("train", ("--beta", "nan"), "weights must be nonnegative and finite"),
         ("eval", ("--gamma", "inf"), "weights must be nonnegative and finite"),
+        ("train", ("--seed", "-1"), "seed must be >= 0, got -1"),
+        ("eval", ("--seed", "-1"), "seed must be >= 0, got -1"),
     ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size",
             "train-lr-negative", "train-lr-0", "eval-lr-nan", "eval-lr-inf",
-            "train-weight-nan", "eval-weight-inf"])
+            "train-weight-nan", "eval-weight-inf", "train-seed-negative", "eval-seed-negative"])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
         data = tmp_path / "data.jsonl"
         run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
@@ -330,8 +338,9 @@ class TestTable1:
         (("--rows", "4:0.1,12:1.5"), "difficulty must be in (0,1), got 1.5"),
         (("--rows", "4:0.1,4:0.1", "--seeds", "0,0", "--ablations", "standard-only,standard-only"),
          "the grid repeats row (4, 0.1)"),
+        (("--rows", "4:0.1", "--seeds", "-1"), "seed must be >= 0, got -1"),
     ], ids=["rows-empty", "seeds-empty", "ablations-empty", "quick-keeps-no-row",
-            "unknown-ablation", "difficulty-1.5", "repeated-cells"])
+            "unknown-ablation", "difficulty-1.5", "repeated-cells", "negative-seed"])
     def test_empty_or_bad_grid_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
         out = tmp_path / "t1"
         assert run_cli("--out", str(out), "table1", *argv) == 2

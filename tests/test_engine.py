@@ -243,7 +243,7 @@ class TestMaskPuzzle:
         incomplete = solved_grid.copy()
         incomplete[4, 4] = 0
         for bad in (swapped, incomplete):
-            with pytest.raises(ValueError, match="^stored solution is not a valid complete grid$"):
+            with pytest.raises(ValueError, match="^solution is not a valid complete grid$"):
                 mask_puzzle(bad, 0.6, 0, require_unique=require_unique)
 
     # sha256 over mask_puzzle(generate_solved(s), d, s, require_unique=True).puzzle

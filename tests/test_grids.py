@@ -205,9 +205,11 @@ class TestTextFormat:
             parse_grid("1" * 80)
 
     def test_bad_character_position_reported(self):
-        text = "1" * 17 + "x" + "1" * 63
-        with pytest.raises(ValueError, match="position 17"):
-            parse_grid(text)
+        # non-ASCII digits: Arabic-Indic one and zero, fullwidth one, superscript two
+        for ch in ("x", "\u0661", "\u0660", "\uff11", "\u00b2"):
+            text = "1" * 17 + ch + "1" * 63
+            with pytest.raises(ValueError, match=f"^invalid character '{ch}' at position 17$"):
+                parse_grid(text)
 
     def test_format_uses_dot_for_empty(self):
         g = np.zeros((9, 9), dtype=int)

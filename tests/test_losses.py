@@ -141,12 +141,18 @@ class TestCombinedLoss:
     def test_standard_only_equals_standard(self, instance_03):
         rng = np.random.default_rng(4)
         tensor = random_tensor(rng)
-        breakdown = combined_loss(tensor, instance_03, ablation_config("standard-only"))
+        config = ablation_config("standard-only")
+        breakdown = combined_loss(tensor, instance_03, config)
         assert breakdown.combined == pytest.approx(
             standard_loss(tensor, instance_03.solution), abs=1e-12
         )
-        assert breakdown.constraints == 0.0
-        assert breakdown.expert == 0.0
+        # the validation loss measures the unweighted components too
+        assert breakdown.constraints == constraints_loss(tensor, instance_03.puzzle)
+        assert breakdown.expert == expert_loss(tensor) > 0.0
+        # the training step skips them
+        trained, _ = combined_loss_grad(tensor, instance_03, config)
+        assert (trained.constraints, trained.expert) == (0.0, 0.0)
+        assert trained.combined == breakdown.combined
 
     def test_one_hot_truth_all_components_vanish(self, instance_03):
         tensor = one_hot_tensor(instance_03.solution)

@@ -477,15 +477,19 @@ class TestRunGrid:
         ([(4, 0.1)], [0, 1, 0], ["standard-only"], "the grid repeats seed 0"),
         ([(4, 0.1)], [0], ["standard-only", "all-combined", "standard-only"],
          "the grid repeats ablation standard-only"),
+        ([(4, 0.1)], [0, -1], ["standard-only"], "seed must be >= 0, got -1"),
     ], ids=["unknown-label", "difficulty-1.5", "fewer-puzzles-than-folds", "no-rows",
-            "no-seeds", "no-ablations", "repeated-row", "repeated-seed", "repeated-ablation"])
+            "no-seeds", "no-ablations", "repeated-row", "repeated-seed", "repeated-ablation",
+            "negative-seed"])
     def test_bad_grid_raises_before_any_dataset(self, monkeypatch, rows, seeds, ablations,
                                                  message):
-        calls = []
-        monkeypatch.setattr(training, "build_dataset", lambda *args: calls.append(args))
+        # datasets are built in the workers, so no pool means no dataset
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pools.append(a))
         with pytest.raises(ValueError, match=re.escape(message)):
             run_grid(rows, seeds, ablations, GRID_RUN)
-        assert calls == []
+        assert pools == [] and multiprocessing.active_children() == []
 
     def test_raising_cell_is_yielded_failed_and_grid_continues(self, monkeypatch):
         def flaky_evaluate(dataset, config):
@@ -591,14 +595,6 @@ class TestRunGrid:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert training._pool_size(12) == 1
 
-    def test_rejected_grid_starts_no_process(self, monkeypatch):
-        pools = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *a, **k: pools.append(a))
-        with pytest.raises(ValueError):
-            run_grid([(4, 0.1)], GRID_SEEDS, ["nope"], GRID_RUN)
-        assert pools == [] and multiprocessing.active_children() == []
-
 
 _weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 _loss_configs = st.one_of(
@@ -613,7 +609,7 @@ _train_configs = st.builds(
     TrainConfig,
     epochs=st.integers(1, 10**6),
     folds=st.integers(2, 100),
-    seed=st.integers(-2**31, 2**63),
+    seed=st.integers(0, 2**63),
     loss=_loss_configs,
     lr=st.floats(min_value=1e-12, max_value=1e3),
     postprocess_mode=st.sampled_from(POSTPROCESS_MODES),
