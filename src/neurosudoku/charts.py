@@ -116,15 +116,12 @@ def grid_to_svg(rendered: RenderedGrid) -> str:
     return "\n".join(parts)
 
 
-def comparison_chart(title: str, group_labels, series, style: str = "bars") -> str:
-    """Grouped accuracy chart as an SVG string.
+def comparison_chart(title: str, group_labels, series) -> str:
+    """Grouped-bar accuracy chart as an SVG string.
 
     ``series`` is a list of (label, values) pairs, values aligned with
-    ``group_labels``.  ``style`` is "bars" (grouped bars, default) or
-    "lines" (one polyline per series).  The y axis is fixed to [0, 1].
+    ``group_labels``.  The y axis is fixed to [0, 1].
     """
-    if style not in ("bars", "lines"):
-        raise ValueError(f"unknown chart style: {style!r}")
     width, height = 720, 420
     margin_l, margin_r, margin_t, margin_b = 60, 160, 40, 50
     plot_w = width - margin_l - margin_r
@@ -170,31 +167,15 @@ def comparison_chart(title: str, group_labels, series, style: str = "bars") -> s
     bar_w = group_w * 0.8 / n_series
     for s, (label, values) in enumerate(series):
         color = SERIES_COLORS[s % len(SERIES_COLORS)]
-        if style == "bars":
-            for g, v in enumerate(values):
-                v = min(max(float(v), 0.0), 1.0)
-                x = xcenter(g) - group_w * 0.4 + s * bar_w
-                parts.append(
-                    f'<rect class="bar" data-group="{escape(str(group_labels[g]))}" '
-                    f'data-series="{escape(str(label))}" x="{x:.1f}" '
-                    f'y="{ypix(v):.1f}" width="{bar_w:.1f}" '
-                    f'height="{plot_h * v:.1f}" fill="{color}"/>'
-                )
-        else:
-            points = " ".join(
-                f"{xcenter(g):.1f},{ypix(min(max(float(v), 0.0), 1.0)):.1f}"
-                for g, v in enumerate(values)
-            )
+        for g, v in enumerate(values):
+            v = min(max(float(v), 0.0), 1.0)
+            x = xcenter(g) - group_w * 0.4 + s * bar_w
             parts.append(
-                f'<polyline class="series" data-series="{escape(str(label))}" '
-                f'points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
+                f'<rect class="bar" data-group="{escape(str(group_labels[g]))}" '
+                f'data-series="{escape(str(label))}" x="{x:.1f}" '
+                f'y="{ypix(v):.1f}" width="{bar_w:.1f}" '
+                f'height="{plot_h * v:.1f}" fill="{color}"/>'
             )
-            for g, v in enumerate(values):
-                parts.append(
-                    f'<circle class="point" data-group="{escape(str(group_labels[g]))}" '
-                    f'data-series="{escape(str(label))}" cx="{xcenter(g):.1f}" '
-                    f'cy="{ypix(min(max(float(v), 0.0), 1.0)):.1f}" r="3" fill="{color}"/>'
-                )
         ly = margin_t + 16 + 18 * s
         lx = margin_l + plot_w + 14
         parts.append(
@@ -213,8 +194,7 @@ def comparison_chart(title: str, group_labels, series, style: str = "bars") -> s
     return "\n".join(parts)
 
 
-
-def grid_charts(rows, ablations, style: str):
+def grid_charts(rows, ablations):
     """Yield (n_puzzles, svg): one accuracy-vs-difficulty chart per puzzle
     count of ``GridCell.csv_rows`` rows, each series an ablation's mean
     6-decimal ``acc_all`` over seeds and folds (failed cells left out, 0 if
@@ -234,5 +214,5 @@ def grid_charts(rows, ablations, style: str):
         ]
         yield n, comparison_chart(
             f"accuracy vs difficulty ({n} puzzles, mean over seeds x folds)",
-            [str(d) for d in difficulties], series, style,
+            [str(d) for d in difficulties], series,
         )

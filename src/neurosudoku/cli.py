@@ -129,8 +129,10 @@ def _parse_rows(text: str):
 
 
 def cmd_table1(args, settings: dict) -> int:
+    # only a --config key gets here, as table1's parser rejects a flag it does
+    # not read; table1 runs its own seeds and ablations
     unread = sorted(set(settings) - set(TABLE1_KEYS))
-    if unread:  # from the config file or a flag: table1 runs its own seeds and ablations
+    if unread:
         raise ValueError(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
                          f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)")
     try:
@@ -164,7 +166,7 @@ def cmd_table1(args, settings: dict) -> int:
     csv_path = os.path.join(args.out, "table1.csv")
     training.write_results_csv(all_rows, csv_path)
     print(f"results: {csv_path}")
-    for n, svg in charts.grid_charts(all_rows, ablations, args.chart_style):
+    for n, svg in charts.grid_charts(all_rows, ablations):
         svg_path = os.path.join(args.out, f"accuracy_{n}.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of ablation labels (default all four)")
     p.add_argument("--seeds", default=",".join(map(str, DEFAULT_TABLE1_SEEDS)),
                    help="comma list of base seeds (default 0,1,2)")
-    p.add_argument("--chart-style", choices=("bars", "lines"), default="bars")
 
     p = subcommand("solve", cmd_solve, ("--config", "--postprocess-mode"),
                    help="solve a puzzle with a trained model")

@@ -188,13 +188,13 @@ class AdamState:
 
     m: ModelParams
     v: ModelParams
+    lr: float
     timestep: int = 0
-    lr: float = 0.001
     scratch: np.ndarray = field(default_factory=lambda: np.empty(N_PARAMS), repr=False)
 
 
-def init_adam(lr: float = 0.001) -> AdamState:
-    return AdamState(m=zeros_params(), v=zeros_params(), timestep=0, lr=lr)
+def init_adam(lr: float) -> AdamState:
+    return AdamState(m=zeros_params(), v=zeros_params(), lr=lr)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:

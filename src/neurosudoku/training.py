@@ -281,7 +281,7 @@ def train(dataset, config: TrainConfig, init_seed: int):
     return params, history
 
 
-def solve_with_model(params: ModelParams, puzzle, mode: str = MODE_ARGMAX) -> np.ndarray:
+def solve_with_model(params: ModelParams, puzzle, mode: str) -> np.ndarray:
     """Predict a completion of the puzzle: the network's forward pass, then
     ``postprocess`` in the given mode."""
     tensor, _ = forward(params, encode_input(puzzle))

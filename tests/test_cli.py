@@ -1,18 +1,25 @@
+import argparse
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from neurosudoku.cli import main
+from neurosudoku.charts import grid_charts
+from neurosudoku.cli import build_parser, main
 from neurosudoku.engine import PROGRAM_RULES
 from neurosudoku.grids import format_grid, is_valid_complete, parse_grid
-from neurosudoku.losses import LossConfig, ablation_config
+from neurosudoku.losses import ABLATIONS, LossConfig, ablation_config
 from neurosudoku.network import init_params, load_params, save_params
 from neurosudoku.training import CSV_COLUMNS, DatasetError, TrainConfig, load_dataset, train
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*argv):
@@ -277,7 +284,6 @@ class TestTrainEval:
 class TestTable1:
     def test_default_grid_shape(self):
         from neurosudoku.cli import DEFAULT_TABLE1_ROWS, DEFAULT_TABLE1_SEEDS
-        from neurosudoku.losses import ABLATIONS
 
         assert DEFAULT_TABLE1_ROWS == (
             (12, 0.1), (12, 0.3), (12, 0.6), (12, 0.8),
@@ -432,17 +438,6 @@ class TestTable1:
         assert code == 1
         assert "error: BrokenProcessPool" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
-
-    def test_line_style_chart(self, tmp_path):
-        out = tmp_path / "t1"
-        code = run_cli("--out", str(out), "table1",
-                       "--rows", "4:0.1", "--seeds", "0", "--chart-style", "lines",
-                       "--epochs", "1", "--folds", "2",
-                       "--ablations", "standard-only,all-combined")
-        assert code == 0
-        root = ET.parse(out / "accuracy_4.svg").getroot()
-        lines = [el for el in root.iter() if el.get("class") == "series"]
-        assert len(lines) == 2
 
 
 class TestSettingTypes:
@@ -648,6 +643,7 @@ class TestFlags:
         ("export-asp", "--profile", "quick"),
         ("solve", "--out", "newdir"), ("export-asp", "--config", "config.json"),
         ("train", "--folds", "2"), ("train", "--postprocess-mode", "argmax"),
+        ("table1", "--chart-style", "lines"),
     ]
 
     @pytest.fixture
@@ -728,6 +724,51 @@ class TestFlags:
     def test_flag_value_may_name_a_subcommand(self, workdir, out):
         assert run_cli(*out, *self.COMMANDS["table1"]) == 0
         assert (workdir / "gen" / "table1.csv").exists()
+
+    def test_readme_cli_table_lists_each_parsers_flags(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        rows = re.findall(r"^\| `([a-z0-9-]+)` \|(.*)$", readme, re.MULTILINE)
+        documented = {name: set(re.findall(r"--[a-z-]+", text)) for name, text in rows}
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        parsed = {name: {flag for action in sub._actions for flag in action.option_strings}
+                  - {"-h", "--help"} for name, sub in commands.choices.items()}
+        assert documented == parsed
+
+
+class TestCharts:
+    def test_grid_chart_bytes_are_pinned(self):
+        # two puzzle counts at two difficulties; standard+expert fails one
+        # cell, standard+constraints fails every cell it has
+        def row(n, difficulty, ablation, fold, acc):
+            return {"n_puzzles": n, "difficulty": difficulty, "ablation": ablation,
+                    "fold": fold, "acc_all": acc}
+
+        rows = [
+            row(4, 0.1, "standard-only", 0, "0.500000"),
+            row(4, 0.1, "standard-only", 1, "0.750000"),
+            row(4, 0.1, "standard-only", 2, "0.666667"),
+            row(4, 0.1, "standard+expert", -1, "nan"),
+            row(4, 0.1, "standard+constraints", -1, "nan"),
+            row(4, 0.1, "all-combined", 0, "0.901235"),
+            row(4, 0.8, "standard-only", 0, "0.250000"),
+            row(4, 0.8, "standard+expert", 0, "0.333333"),
+            row(4, 0.8, "standard+constraints", -1, "nan"),
+            row(4, 0.8, "all-combined", 0, "1.000000"),
+            row(12, 0.1, "standard-only", 0, "0.123457"),
+            row(12, 0.1, "standard+expert", 0, "0.000000"),
+            row(12, 0.1, "all-combined", 0, "0.802469"),
+            row(12, 0.8, "standard-only", 0, "0.086420"),
+            row(12, 0.8, "standard+expert", 0, "0.111111"),
+            row(12, 0.8, "all-combined", 0, "0.234568"),
+        ]
+        digests = {n: hashlib.sha256(svg.encode("utf-8")).hexdigest()
+                   for n, svg in grid_charts(rows, ABLATIONS)}
+        assert digests == {
+            4: "866f73d5a701784b038cd11b9dc3f14ba4b89dbb3c5cabde3eda03121d539e13",
+            12: "3179bf73df845a315f2021b21dc4a9660b952a987a8eed5ecca29ff0c7c3c1ac",
+        }
 
 
 class TestRendering:

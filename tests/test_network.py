@@ -181,7 +181,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = init_params(0)
         before = p.data.copy()
-        state = init_adam()
+        state = init_adam(lr=0.001)
         assert adam_step(p, zeros_params(), state) is None
         assert state.timestep == 1
         assert (p.data == before).all()
@@ -208,7 +208,7 @@ class TestAdam:
         expected = adam_scalar_reference(lambda t: t, 1.0, steps)
         p = zeros_params()
         p.b1[0] = 1.0
-        state = init_adam()
+        state = init_adam(lr=0.001)
         g = zeros_params()
         for _ in range(steps):
             g.b1[0] = p.b1[0]
@@ -221,7 +221,7 @@ class TestAdam:
         expected = adam_scalar_reference(lambda t: t, 1.0, 2)
         p = zeros_params()
         p.b1[0] = 1.0
-        state = init_adam()
+        state = init_adam(lr=0.001)
         g = zeros_params()
         for _ in range(2):
             g.b1[0] = p.b1[0]
@@ -230,7 +230,7 @@ class TestAdam:
         assert 0.5 * p.b1[0] ** 2 < 0.5  # quadratic loss shrank from 0.5
 
     def test_updates_params_and_state_in_place_and_leaves_grads(self):
-        p, g, state = init_params(0), init_params(1), init_adam()
+        p, g, state = init_params(0), init_params(1), init_adam(lr=0.001)
         buffers = (p.data, state.m.data, state.v.data, state.scratch)
         p_before, g_before = p.data.copy(), g.data.copy()
         expected = adam_step_slow(p_before, g_before, state.m.data.copy(),
@@ -274,7 +274,7 @@ class TestAdam:
     @given(index=st.integers(0, N_PARAMS - 1),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_gradient_writes_nothing(self, index, bad):
-        p, state = init_params(0), init_adam()
+        p, state = init_params(0), init_adam(lr=0.001)
         adam_step(p, _random_params(1, 1e-2), state)  # nonzero moments
         before = (p.data.copy(), state.m.data.copy(), state.v.data.copy())
         g = _random_params(2, 1e-2)
@@ -289,7 +289,7 @@ class TestAdam:
         g = zeros_params()
         g.W1[0, 0] = np.nan
         with pytest.raises(NumericOverflowError):
-            adam_step(init_params(0), g, init_adam())
+            adam_step(init_params(0), g, init_adam(lr=0.001))
 
 
 class TestCheckpoint:
