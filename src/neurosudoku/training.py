@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .engine import generate_solved, mask_puzzle, solve
+from .engine import ALL_DIGITS, generate_solved, mask_puzzle, solve
 from .grids import (
     CELL_UNITS,
     GRID_SIZE,
@@ -64,6 +64,12 @@ MODE_ARGMAX = "argmax"
 MODE_GREEDY = "greedy-constrained"
 MODE_HYBRID = "hybrid-complete"
 POSTPROCESS_MODES = (MODE_ARGMAX, MODE_GREEDY, MODE_HYBRID)
+# For the greedy loop: each cell's row, column and box, and the set bits of
+# each 9-bit digit mask, ascending.
+_CELL_UNITS = CELL_UNITS.tolist()
+_SET_BITS = tuple(
+    tuple(bit for bit in range(GRID_SIZE) if mask >> bit & 1) for mask in range(ALL_DIGITS + 1)
+)
 
 
 def _check_postprocess_mode(mode: str) -> str:
@@ -295,7 +301,9 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     argmax: per-cell most probable digit, givens overwritten last.
     greedy-constrained: empty cells filled in descending order of peak
     probability, each taking its most probable digit that does not clash
-    with already-placed digits; unfillable cells stay 0.
+    with already-placed digits; unfillable cells stay 0.  Cells with equal
+    peak probability are filled in row-major order, and a cell takes the
+    smallest of its equally probable free digits.
     hybrid-complete: greedy; if that leaves an empty cell, the logic engine
     solves the puzzle from its givens alone (first solution) and the
     network's placements are dropped.  Greedy leaves a cell empty only
@@ -303,9 +311,15 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     placements only remove candidates, so the greedy grid itself never has
     a completion.  A solvable puzzle therefore always yields a fully valid
     grid; only an unsolvable one returns the degraded greedy output.
-    Raises only ValueError, for an unknown mode or a malformed puzzle.
+    Raises only ValueError, for an unknown mode, a malformed puzzle, or a
+    tensor that is not (9, 9, 9) with finite entries.
     """
     puzzle = as_grid(puzzle)
+    tensor = np.asarray(tensor, dtype=float)
+    if tensor.shape != (GRID_SIZE, GRID_SIZE, GRID_SIZE):
+        raise ValueError(f"prediction tensor must be 9x9x9, got shape {tensor.shape}")
+    if not np.isfinite(tensor).all():
+        raise ValueError("prediction tensor must have only finite entries")
     if _check_postprocess_mode(mode) == MODE_ARGMAX:
         grid = decode_prediction(tensor)
         given = puzzle != 0
@@ -314,19 +328,25 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     grid = puzzle.copy()
     cells = grid.reshape(-1)
     probs = tensor.reshape(N_CELLS, GRID_SIZE)
-    # used[u, d]: digit d is placed in unit u (column 0, set by empty cells, is unused)
-    used = np.zeros((len(UNITS), GRID_SIZE + 1), dtype=bool)
-    used[np.arange(len(UNITS))[:, None], cells[UNITS]] = True
+    # used[u]: the digits placed in unit u, bit d-1 for digit d (engine.ALL_DIGITS)
+    used = [0] * len(UNITS)
+    for cell, digit in enumerate(cells.tolist()):
+        if digit:
+            for unit in _CELL_UNITS[cell]:
+                used[unit] |= 1 << (digit - 1)
     empties = np.flatnonzero(cells == 0)
     # most confident cell first; stable sort keeps row-major order on ties
-    for cell in empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]:
-        units = CELL_UNITS[cell]
-        free = ~used[units, 1:].any(axis=0)
-        if free.any():
-            # most probable free digit; argmax takes the smallest on ties
-            digit = int(np.argmax(np.where(free, probs[cell], -np.inf))) + 1
-            cells[cell] = digit
-            used[units, digit] = True
+    order = empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]
+    for cell, prob in zip(order.tolist(), probs[order].tolist()):
+        row, col, box = _CELL_UNITS[cell]
+        free = ALL_DIGITS & ~(used[row] | used[col] | used[box])
+        if free:
+            # most probable free digit; max keeps the first, smallest, on ties
+            bit = max(_SET_BITS[free], key=prob.__getitem__)
+            cells[cell] = bit + 1
+            used[row] |= 1 << bit
+            used[col] |= 1 << bit
+            used[box] |= 1 << bit
     if mode == MODE_HYBRID and (grid == 0).any():
         outcome = solve(puzzle, 1)
         if outcome.solutions:

@@ -49,6 +49,7 @@ from neurosudoku.training import (
     dataset_fingerprint,
     kfold_evaluate,
     load_dataset,
+    postprocess,
     result_rows,
     run_grid,
     save_dataset,
@@ -377,10 +378,17 @@ class TestSolveWithModel:
     @given(seed=st.integers(0, 10_000), difficulty=st.sampled_from([0.1, 0.3, 0.6, 0.8]))
     def test_greedy_matches_loop_oracle(self, seed, difficulty):
         puzzle = mask_puzzle(generate_solved(seed), difficulty, seed).puzzle
-        for params in (init_params(seed), zeros_params()):  # zeros: every digit ties
-            tensor, _ = forward(params, encode_input(puzzle))
+        # init_params: no ties; zeros_params: every digit ties; three levels:
+        # peaks tie across some cells, digits tie within some cells
+        tensors = [forward(params, encode_input(puzzle))[0] for params in (init_params(seed), zeros_params())]
+        tensors.append(np.random.default_rng(seed).integers(0, 3, (9, 9, 9)) / 2)
+        # a masked solved grid always has a completion
+        first = solve(puzzle, 1).solutions[0].tolist()
+        for tensor in tensors:
             expected = greedy_fill_slow(tensor, puzzle)
-            assert solve_with_model(params, puzzle, MODE_GREEDY).tolist() == expected
+            assert postprocess(tensor, puzzle, MODE_GREEDY).tolist() == expected
+            hybrid = expected if all(all(row) for row in expected) else first
+            assert postprocess(tensor, puzzle, MODE_HYBRID).tolist() == hybrid
 
     def test_greedy_never_places_conflicts(self, solved_grid):
         inst = mask_puzzle(solved_grid, 0.8, 7)
@@ -388,6 +396,18 @@ class TestSolveWithModel:
         from neurosudoku.grids import is_consistent_partial
 
         assert is_consistent_partial(out)
+
+    @pytest.mark.parametrize("mode", POSTPROCESS_MODES)
+    @pytest.mark.parametrize("bad", ["729", "81x9", "nan", "inf"])
+    def test_malformed_tensor_rejected(self, mode, bad):
+        tensor = np.full((9, 9, 9), 1 / 9)
+        tensors = {"729": tensor.reshape(729), "81x9": tensor.reshape(81, 9)}
+        tensors["nan"] = tensor.copy()
+        tensors["nan"][4, 4, 4] = np.nan
+        tensors["inf"] = tensor.copy()
+        tensors["inf"][0, 0, 8] = np.inf
+        with pytest.raises(ValueError, match="prediction tensor"):
+            postprocess(tensors[bad], np.zeros((9, 9), dtype=int), mode)
 
     def test_unknown_mode_rejected(self, solved_grid):
         with pytest.raises(ValueError, match="postprocess"):
