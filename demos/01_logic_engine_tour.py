@@ -32,7 +32,7 @@ outcome = solve(inst.puzzle, limit=3)
 print(f"\nsolving the 0.6 puzzle: {len(outcome.solutions)} found, "
       f"exhausted={outcome.exhausted}, "
       f"{outcome.stats.nodes} branch nodes, "
-      f"{outcome.stats.propagations} forced assignments")
+      f"{outcome.stats.propagations} cells decided by propagation")
 for sol in outcome.solutions:
     assert is_valid_complete(sol)
 

@@ -27,6 +27,19 @@ dead ends in a first-solution search and 1.1M in a capped count.  Only a
 search that switches can return a different first solution of a puzzle with
 several.
 
+The root state is seeded from the givens in one pass: the digits given in
+each of the 27 units become a 9-bit mask, a digit given twice in a unit
+fails, and each empty cell starts with the digits that its row, column and
+box lack, failing if none is left.  Only the empty cells left with a single
+candidate are then assigned, cascading as in the search.  This is the same
+naked-single closure that assigning the givens one at a time reaches, so
+solutions, their order and the search statistics other than
+``propagations`` are the same; on a 0.1 puzzle (73 givens) it takes about a
+quarter of the time.  ``SolveStats.propagations`` counts the cells other
+than givens and branch cells that propagation decides, so a puzzle that
+propagation solves from the root reads its number of empty cells, in any
+cell order.
+
 ``mask_puzzle(..., require_unique=True)`` redraws masks until one leaves a
 single completion.  Most draws that fail blank all four cells of an
 unavoidable rectangle of the solution: ``a b / b a`` on two rows and two
@@ -71,6 +84,8 @@ PEERS = tuple(
     for cell in range(N_CELLS)
 )
 UNIT_CELLS = tuple(tuple(unit) for unit in UNITS.tolist())
+# Each cell's row, column and box, as indices into UNIT_CELLS.
+CELL_UNIT_IDS = tuple(tuple(units) for units in CELL_UNITS.tolist())
 
 # Dead ends a search may hit before every node also places hidden singles.
 HIDDEN_SINGLES_AFTER = 64
@@ -79,7 +94,7 @@ HIDDEN_SINGLES_AFTER = 64
 @dataclass
 class SolveStats:
     nodes: int = 0  # branch decisions tried by the search
-    propagations: int = 0  # forced single-candidate assignments
+    propagations: int = 0  # cells decided by naked singles, givens and branch cells aside
     dead_ends: int = 0  # branches refuted by propagation
     hidden_singles: int = 0  # digits placed at their one place left in a unit
 
@@ -189,15 +204,41 @@ def _search(cands, out, limit, stats, order_bits) -> bool:
 
 
 def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
-    """Seed the candidate state from the givens; None on contradiction."""
-    cands = [ALL_DIGITS] * N_CELLS
-    for idx, v in enumerate(puzzle.reshape(-1).tolist()):
+    """Seed the candidate state from the givens: their naked-single closure,
+    or None on contradiction."""
+    values = puzzle.reshape(-1).tolist()
+    if not any(values):  # the empty grid, which every generate_solved call seeds
+        return [ALL_DIGITS] * N_CELLS
+    # placed[u]: the given digits of unit u; a digit given twice in a unit fails
+    placed = [0] * len(UNIT_CELLS)
+    for idx, v in enumerate(values):
         if v:
             bit = 1 << (v - 1)
-            if not cands[idx] & bit:
+            row, col, box = CELL_UNIT_IDS[idx]
+            if (placed[row] | placed[col] | placed[box]) & bit:
                 return None
-            if cands[idx] != bit and not _assign(cands, idx, bit, stats):
-                return None
+            placed[row] |= bit
+            placed[col] |= bit
+            placed[box] |= bit
+    cands = [0] * N_CELLS
+    singles = []
+    for idx, v in enumerate(values):
+        if v:
+            cands[idx] = 1 << (v - 1)
+            continue
+        row, col, box = CELL_UNIT_IDS[idx]
+        free = ALL_DIGITS & ~(placed[row] | placed[col] | placed[box])
+        if not free:
+            return None
+        cands[idx] = free
+        if free & (free - 1) == 0:
+            singles.append(idx)
+    # an empty cell already single is decided; _assign spreads it and
+    # cascades, and a cascade that takes a pending single's digit fails
+    for idx in singles:
+        stats.propagations += 1
+        if not _assign(cands, idx, cands[idx], stats):
+            return None
     return cands
 
 

@@ -25,9 +25,8 @@ from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .engine import ALL_DIGITS, generate_solved, mask_puzzle, solve
+from .engine import ALL_DIGITS, CELL_UNIT_IDS, generate_solved, mask_puzzle, solve
 from .grids import (
-    CELL_UNITS,
     GRID_SIZE,
     N_CELLS,
     UNITS,
@@ -64,9 +63,7 @@ MODE_ARGMAX = "argmax"
 MODE_GREEDY = "greedy-constrained"
 MODE_HYBRID = "hybrid-complete"
 POSTPROCESS_MODES = (MODE_ARGMAX, MODE_GREEDY, MODE_HYBRID)
-# For the greedy loop: each cell's row, column and box, and the set bits of
-# each 9-bit digit mask, ascending.
-_CELL_UNITS = CELL_UNITS.tolist()
+# For the greedy loop: the set bits of each 9-bit digit mask, ascending.
 _SET_BITS = tuple(
     tuple(bit for bit in range(GRID_SIZE) if mask >> bit & 1) for mask in range(ALL_DIGITS + 1)
 )
@@ -332,13 +329,13 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     used = [0] * len(UNITS)
     for cell, digit in enumerate(cells.tolist()):
         if digit:
-            for unit in _CELL_UNITS[cell]:
+            for unit in CELL_UNIT_IDS[cell]:
                 used[unit] |= 1 << (digit - 1)
     empties = np.flatnonzero(cells == 0)
     # most confident cell first; stable sort keeps row-major order on ties
     order = empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]
     for cell, prob in zip(order.tolist(), probs[order].tolist()):
-        row, col, box = _CELL_UNITS[cell]
+        row, col, box = CELL_UNIT_IDS[cell]
         free = ALL_DIGITS & ~(used[row] | used[col] | used[box])
         if free:
             # most probable free digit; max keeps the first, smallest, on ties

@@ -62,6 +62,59 @@ def solve_naive(puzzle, limit):
 
 
 # ---------------------------------------------------------------------------
+# the solver's root state, seeded one given at a time in row-major order:
+# each given is assigned and eliminated from its 20 peers, and a peer left
+# with one candidate is assigned in turn.  Candidates are 9-bit masks, bit
+# d-1 for digit d.  Returns the 81 masks, or None on a contradiction.
+
+
+def _peers_slow(idx):
+    r, c = divmod(idx, 9)
+    peers = set()
+    for k in range(9):
+        peers.add(9 * r + k)
+        peers.add(9 * k + c)
+    br, bc = 3 * (r // 3), 3 * (c // 3)
+    for i in range(br, br + 3):
+        for j in range(bc, bc + 3):
+            peers.add(9 * i + j)
+    peers.discard(idx)
+    return sorted(peers)
+
+
+_PEERS = [_peers_slow(idx) for idx in range(81)]
+
+
+def _assign_slow(cands, idx, bit):
+    cands[idx] = bit
+    queue = [(idx, bit)]
+    while queue:
+        i, b = queue.pop()
+        for p in _PEERS[i]:
+            old = cands[p]
+            if old & b:
+                new = old & ~b
+                if not new:
+                    return False
+                cands[p] = new
+                if new & (new - 1) == 0:
+                    queue.append((p, new))
+    return True
+
+
+def init_candidates_one_given_at_a_time(puzzle):
+    cands = [0x1FF] * 81
+    for idx, v in enumerate(int(v) for v in np.asarray(puzzle).reshape(-1)):
+        if v:
+            bit = 1 << (v - 1)
+            if not cands[idx] & bit:
+                return None
+            if cands[idx] != bit and not _assign_slow(cands, idx, bit):
+                return None
+    return cands
+
+
+# ---------------------------------------------------------------------------
 # loss reference values, straight triple loops
 
 

@@ -19,7 +19,7 @@ from neurosudoku.engine import (
 )
 from neurosudoku.grids import is_valid_complete, masked_cell_count
 
-from oracles import solve_naive
+from oracles import init_candidates_one_given_at_a_time, solve_naive
 
 
 def grids_as_set(grids):
@@ -32,6 +32,28 @@ def assert_sound(outcome, puzzle):
         assert is_valid_complete(sol)
         assert (np.asarray(sol)[given] == np.asarray(puzzle)[given]).all()
     assert len(grids_as_set(outcome.solutions)) == len(outcome.solutions)
+
+
+def root_contradictions():
+    """Puzzles that seeding the root state refutes, one per way it can fail."""
+    cases = {}
+    for name, cells, digit in [
+        ("repeat-in-row", [(0, 0), (0, 5)], 7),
+        ("repeat-in-column", [(0, 0), (5, 0)], 7),
+        ("repeat-in-box", [(0, 0), (1, 1)], 3),
+    ]:
+        cases[name] = np.zeros((9, 9), dtype=int)
+        for r, c in cells:
+            cases[name][r, c] = digit
+    # (0, 0) is empty, its row holds 1..8 and its column 9
+    cases["no-candidate-left"] = np.zeros((9, 9), dtype=int)
+    cases["no-candidate-left"][0, 1:] = range(1, 9)
+    cases["no-candidate-left"][5, 0] = 9
+    # (0, 0) and (0, 1) are empty and both left with 9 alone
+    cases["two-peers-one-digit"] = np.zeros((9, 9), dtype=int)
+    cases["two-peers-one-digit"][0, 2:] = range(1, 8)
+    cases["two-peers-one-digit"][3, 0] = cases["two-peers-one-digit"][6, 1] = 8
+    return cases
 
 
 def assert_matches_naive_on_random_mask(seed, n_empty, limit):
@@ -64,11 +86,10 @@ class TestSolve:
         assert_sound(outcome, np.zeros((9, 9), dtype=int))
 
     def test_inconsistent_puzzle_yields_empty_exhausted(self):
-        puzzle = np.zeros((9, 9), dtype=int)
-        puzzle[0, 0] = puzzle[0, 5] = 7
-        outcome = solve(puzzle, 5)
-        assert outcome.solutions == []
-        assert outcome.exhausted
+        for name, puzzle in root_contradictions().items():
+            outcome = solve(puzzle, 5)
+            assert outcome.solutions == [], name
+            assert outcome.exhausted, name
 
     def test_malformed_grid_rejected(self):
         bad = np.zeros((9, 9), dtype=int)
@@ -114,6 +135,53 @@ class TestSolve:
         outcome = solve(np.zeros((9, 9), dtype=int), 2)
         assert outcome.stats.nodes > 0
         assert outcome.stats.propagations > 0
+
+    def test_propagations_count_the_cells_propagation_decides(self):
+        # a puzzle that propagation solves from the root decides each empty
+        # cell once, whatever order the cells are read in
+        solved_at_root = 0
+        for difficulty in (0.1, 0.3):
+            for seed in range(200):
+                puzzle = mask_puzzle(generate_solved(seed), difficulty, seed).puzzle
+                outcome = solve(puzzle, 1)
+                if outcome.stats.nodes:
+                    continue
+                solved_at_root += 1
+                n_empty = int((puzzle == 0).sum())
+                assert outcome.stats.propagations == n_empty, (difficulty, seed)
+                assert solve(puzzle.T, 1).stats.propagations == n_empty, (difficulty, seed)
+        assert solved_at_root > 300
+
+
+class TestRootState:
+    """``_init_candidates`` builds the state that assigning the givens one at
+    a time, each propagated before the next, reaches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), difficulty=st.sampled_from((0.1, 0.3, 0.6, 0.8)))
+    def test_matches_reference_on_masked_grids(self, seed, difficulty):
+        puzzle = mask_puzzle(generate_solved(seed), difficulty, seed).puzzle
+        cands = engine._init_candidates(puzzle, engine.SolveStats())
+        assert cands == init_candidates_one_given_at_a_time(puzzle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_empty=st.integers(0, 81), n_changed=st.integers(0, 6))
+    def test_matches_reference_on_partial_grids_with_conflicts(self, seed, n_empty, n_changed):
+        # a masked grid with a few cells overwritten by random digits: a
+        # repeated given, a cell with no candidate, or a cascade that fails
+        rng = np.random.default_rng(seed)
+        puzzle = generate_solved(seed).reshape(-1)
+        puzzle[rng.permutation(81)[:n_empty]] = 0
+        puzzle[rng.permutation(81)[:n_changed]] = rng.integers(0, 10, n_changed)
+        puzzle = puzzle.reshape(9, 9)
+        cands = engine._init_candidates(puzzle, engine.SolveStats())
+        assert cands == init_candidates_one_given_at_a_time(puzzle)
+
+    @pytest.mark.parametrize("name", sorted(root_contradictions()))
+    def test_matches_reference_on_root_contradictions(self, name):
+        puzzle = root_contradictions()[name]
+        assert engine._init_candidates(puzzle, engine.SolveStats()) is None
+        assert init_candidates_one_given_at_a_time(puzzle) is None
 
 
 def hidden_single_refuted_puzzles():
@@ -174,9 +242,8 @@ class TestCountSolutions:
         assert count_solutions(solved_grid, 5) == 1
 
     def test_inconsistent(self):
-        puzzle = np.zeros((9, 9), dtype=int)
-        puzzle[0, 0] = puzzle[1, 1] = 3  # same box
-        assert count_solutions(puzzle, 5) == 0
+        for name, puzzle in root_contradictions().items():
+            assert count_solutions(puzzle, 5) == 0, name
 
     def test_cap_reached_on_empty_grid(self):
         assert count_solutions(np.zeros((9, 9), dtype=int), 3) == 3
