@@ -196,7 +196,7 @@ def comparison_chart(title: str, group_labels, series) -> str:
 
 def grid_charts(rows, ablations):
     """Yield (n_puzzles, svg): one accuracy-vs-difficulty chart per puzzle
-    count of ``GridCell.csv_rows`` rows, each series an ablation's mean
+    count of ``ExperimentResult.csv_rows`` rows, each series an ablation's mean
     6-decimal ``acc_all`` over seeds and folds (failed cells left out, 0 if
     none is left)."""
     acc = {}

@@ -106,11 +106,9 @@ def cmd_train(args, settings: dict) -> int:
 def cmd_eval(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
     dataset = training.load_dataset(args.data)
-    difficulty = training.dataset_difficulty(dataset)
     result = training.kfold_evaluate(dataset, cfg)
-    rows = training.result_rows(result, len(dataset), difficulty)
     csv_path = _out_path(args, args.csv_out, "results.csv")
-    training.write_results_csv(rows, csv_path)
+    training.write_results_csv(result.csv_rows(), csv_path)
     print(f"accuracy all-cells  : {result.mean_all:.4f} +/- {result.std_all:.4f}")
     print(f"accuracy empty-cells: {result.mean_empty:.4f} +/- {result.std_empty:.4f}")
     print(f"results: {csv_path}")
@@ -157,8 +155,7 @@ def cmd_table1(args, settings: dict) -> int:
         name = (f"n={cell.n_puzzles} difficulty={cell.difficulty} "
                 f"seed={cell.config.seed} {cell.config.loss.ablation}")
         if cell.error is None:
-            print(f"{name}: acc_all={cell.result.mean_all:.3f} "
-                  f"acc_empty={cell.result.mean_empty:.3f}")
+            print(f"{name}: acc_all={cell.mean_all:.3f} acc_empty={cell.mean_empty:.3f}")
         else:
             failed += 1
             print(f"error: cell {name} failed: {cell.error}", file=sys.stderr)

@@ -11,7 +11,8 @@ update per puzzle (batch size 1).
 ``run_grid`` runs each cell, a dataset build and its k-fold evaluation, as
 one job in a forked worker process, one worker per CPU the process may use.
 Every cell is deterministic and the cells come back in nesting order, so
-the output does not depend on the worker count.
+the output does not depend on the worker count.  Each comes back as an
+``ExperimentResult``, the one record of every k-fold run, failed or not.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -170,13 +171,43 @@ class FoldResult:
 
 @dataclass
 class ExperimentResult:
-    folds: list
-    mean_all: float
-    std_all: float
-    mean_empty: float
-    std_empty: float
+    """One k-fold run: its dataset, config and folds, or the error that stopped it."""
+
+    n_puzzles: int
+    difficulty: float
     config: TrainConfig
-    fingerprint: str
+    folds: list = field(default_factory=list)
+    fingerprint: str | None = None
+    error: str | None = None
+
+    @property
+    def mean_all(self) -> float:
+        return float(np.mean([fr.accuracy_all for fr in self.folds]))
+
+    @property
+    def std_all(self) -> float:
+        return float(np.std([fr.accuracy_all for fr in self.folds]))
+
+    @property
+    def mean_empty(self) -> float:
+        return float(np.mean([fr.accuracy_empty for fr in self.folds]))
+
+    @property
+    def std_empty(self) -> float:
+        return float(np.std([fr.accuracy_empty for fr in self.folds]))
+
+    def csv_rows(self):
+        """One ``CSV_COLUMNS`` row dict per fold, metrics to 6 decimals; a
+        failed run gets one row, fold=-1, every metric nan."""
+        run = {"n_puzzles": self.n_puzzles, "difficulty": self.difficulty,
+               "ablation": self.config.loss.ablation, "epochs": self.config.epochs,
+               "seed": self.config.seed}
+        if self.error is not None:
+            return [{**dict.fromkeys(CSV_COLUMNS, "nan"), **run, "fold": -1}]
+        return [{**run, "fold": fr.fold, "acc_all": f"{fr.accuracy_all:.6f}",
+                 "acc_empty": f"{fr.accuracy_empty:.6f}",
+                 **{f"loss_{part}": f"{value:.6f}" for part, value in asdict(fr.val_loss).items()}}
+                for fr in self.folds]
 
 
 def dataset_fingerprint(dataset) -> str:
@@ -366,8 +397,10 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
     One forward pass per validation puzzle gives both its validation loss
     and its prediction.  ``train_fn``/``predict_fn(tensor, inst)`` are
     injection points for tests: they default to ``train`` and
-    ``postprocess`` with the configured mode.
+    ``postprocess`` with the configured mode.  ValueError before training
+    for a dataset without one difficulty or with fewer puzzles than folds.
     """
+    difficulty = dataset_difficulty(dataset)
     n = len(dataset)
     if config.folds > n:
         raise ValueError(f"dataset has {n} puzzles, fewer than folds={config.folds}")
@@ -402,17 +435,7 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
             val_loss=val_loss,
             history=history,
         ))
-    alls = [fr.accuracy_all for fr in fold_results]
-    empties = [fr.accuracy_empty for fr in fold_results]
-    return ExperimentResult(
-        folds=fold_results,
-        mean_all=float(np.mean(alls)),
-        std_all=float(np.std(alls)),
-        mean_empty=float(np.mean(empties)),
-        std_empty=float(np.std(empties)),
-        config=config,
-        fingerprint=dataset_fingerprint(dataset),
-    )
+    return ExperimentResult(n, difficulty, config, fold_results, dataset_fingerprint(dataset))
 
 
 CSV_COLUMNS = [
@@ -431,53 +454,9 @@ CSV_COLUMNS = [
 ]
 
 
-def result_rows(result: ExperimentResult, n_puzzles: int, difficulty: float):
-    """Flatten an ExperimentResult into one CSV row dict per fold."""
-    label = result.config.loss.ablation
-    rows = []
-    for fr in result.folds:
-        rows.append({
-            "n_puzzles": n_puzzles,
-            "difficulty": difficulty,
-            "ablation": label,
-            "fold": fr.fold,
-            "acc_all": f"{fr.accuracy_all:.6f}",
-            "acc_empty": f"{fr.accuracy_empty:.6f}",
-            "loss_standard": f"{fr.val_loss.standard:.6f}",
-            "loss_constraints": f"{fr.val_loss.constraints:.6f}",
-            "loss_expert": f"{fr.val_loss.expert:.6f}",
-            "loss_combined": f"{fr.val_loss.combined:.6f}",
-            "epochs": result.config.epochs,
-            "seed": result.config.seed,
-        })
-    return rows
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """One (row, base seed, ablation) cell of the ablation grid: its config
-    and either its k-fold result or the error that stopped it."""
-
-    n_puzzles: int
-    difficulty: float
-    config: TrainConfig
-    result: ExperimentResult | None
-    error: str | None
-
-    def csv_rows(self):
-        """One CSV row per fold; a failed cell gets one row, fold=-1, metrics nan."""
-        if self.result is not None:
-            return result_rows(self.result, self.n_puzzles, self.difficulty)
-        row = dict.fromkeys(CSV_COLUMNS, "nan")
-        row.update(n_puzzles=self.n_puzzles, difficulty=self.difficulty, fold=-1,
-                   ablation=self.config.loss.ablation,
-                   epochs=self.config.epochs, seed=self.config.seed)
-        return [row]
-
-
 def run_grid(rows, seeds, ablations, run: TrainConfig):
     """Check the whole grid and every cell's config, then return an iterator
-    of one GridCell per (row, base seed, ablation), nested in that order.
+    of one ``ExperimentResult`` per (row, base seed, ablation), in that order.
 
     ``rows`` are (n_puzzles, difficulty) pairs.  A cell trains on
     ``build_dataset(n_puzzles, difficulty, seed)`` with ``run``'s config,
@@ -486,7 +465,7 @@ def run_grid(rows, seeds, ablations, run: TrainConfig):
     one, a difficulty outside (0, 1), a row with fewer puzzles than
     ``run.folds``, an unknown label or a seed ``TrainConfig`` rejects.  A
     cell whose dataset build or k-fold run raises comes out with ``error``
-    set and no result, and the grid carries on.
+    set and no folds, and the grid carries on.
     """
     if not (rows and seeds and ablations):
         raise ValueError("the grid needs at least one row, one seed and one ablation")
@@ -512,17 +491,17 @@ def _pool_size(n_cells: int) -> int:
     return min(n_cells, os.cpu_count() or 1)
 
 
-def _evaluate_cell(n_puzzles: int, difficulty: float, config: TrainConfig):
-    """(result, None) or (None, error message) for one cell, run in a worker
-    that builds the cell's dataset itself; the message travels back instead
-    of an exception that might not pickle."""
+def _evaluate_cell(n_puzzles: int, difficulty: float, config: TrainConfig) -> ExperimentResult:
+    """One cell's record, run in a worker that builds the cell's dataset
+    itself.  A cell that raises gets no folds and ``error``, a message that
+    travels back instead of an exception that might not pickle."""
     stage = "dataset"
     try:
         dataset = build_dataset(n_puzzles, difficulty, config.seed)
         stage = "evaluate"
-        return kfold_evaluate(dataset, config), None
+        return kfold_evaluate(dataset, config)
     except Exception as exc:
-        return None, f"{stage}: {exc}"
+        return ExperimentResult(n_puzzles, difficulty, config, error=f"{stage}: {exc}")
 
 
 def _grid_cells(cells):
@@ -540,8 +519,7 @@ def _grid_cells(cells):
                                mp_context=multiprocessing.get_context("fork"))
     try:
         jobs = [pool.submit(_evaluate_cell, *cell) for cell in cells]
-        for cell, job in zip(cells, jobs):
-            yield GridCell(*cell, *job.result())
+        yield from (job.result() for job in jobs)
     finally:
         pool.shutdown(cancel_futures=True)
 

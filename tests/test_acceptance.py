@@ -262,7 +262,7 @@ def ablation_grid():
     run = TrainConfig(epochs=200, folds=3)
     for cell in run_grid([(12, 0.1), (12, 0.8)], TREND_SEEDS, ABLATION_LABELS, run):
         assert cell.error is None, cell.error
-        results.setdefault((cell.difficulty, cell.config.loss.ablation), []).append(cell.result)
+        results.setdefault((cell.difficulty, cell.config.loss.ablation), []).append(cell)
     return results
 
 

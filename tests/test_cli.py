@@ -422,6 +422,9 @@ class TestTable1:
                          "standard+constraints": ["0", "1"], "all-combined": ["0", "1"]}
         failed = next(r for r in rows if r["fold"] == "-1")
         assert failed["acc_all"] == failed["loss_combined"] == "nan"
+        lines = (out / "table1.csv").read_bytes().split(b"\r\n")
+        assert [line for line in lines if b",-1," in line] == [
+            b"4,0.1,standard+expert,-1,nan,nan,nan,nan,nan,nan,1,0"]
         root = ET.parse(out / "accuracy_4.svg").getroot()
         bars = {el.get("data-series"): el for el in root.iter() if el.get("class") == "bar"}
         assert len(bars) == 4 and bars["standard+expert"].get("height") == "0.0"

@@ -43,14 +43,13 @@ from neurosudoku.training import (
     MODE_HYBRID,
     POSTPROCESS_MODES,
     DatasetError,
-    GridCell,
+    ExperimentResult,
     TrainConfig,
     build_dataset,
     dataset_fingerprint,
     kfold_evaluate,
     load_dataset,
     postprocess,
-    result_rows,
     run_grid,
     save_dataset,
     solve_with_model,
@@ -260,6 +259,19 @@ class TestKFold:
         assert r1.mean_all == r2.mean_all
         assert [f.accuracy_all for f in r1.folds] == [f.accuracy_all for f in r2.folds]
 
+    def test_mixed_difficulties_rejected_before_training(self):
+        mixed = build_dataset(6, 0.1, 0) + build_dataset(6, 0.3, 10)
+        trained = []
+
+        def spy_train(train_set, cfg, init_seed):
+            trained.append(init_seed)
+            return init_params(init_seed), [0.0] * cfg.epochs
+
+        message = "dataset needs one difficulty, has [0.1, 0.3]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kfold_evaluate(mixed, TrainConfig(epochs=1, folds=3), train_fn=spy_train)
+        assert trained == []
+
     def test_folds_exceeding_dataset_rejected(self):
         dataset = build_dataset(2, 0.1, 0)
         with pytest.raises(ValueError, match="folds"):
@@ -427,7 +439,7 @@ class TestResultsCsv:
         dataset = build_dataset(4, 0.1, 1)
         config = TrainConfig(epochs=1, folds=2)
         result = kfold_evaluate(dataset, config)
-        rows = result_rows(result, 4, 0.1)
+        rows = result.csv_rows()
         path = tmp_path / "results.csv"
         write_results_csv(rows, path)
         with open(path) as fh:
@@ -440,7 +452,7 @@ class TestResultsCsv:
 
     def test_failed_row_shape(self):
         config = TrainConfig(epochs=200, seed=3, loss=ablation_config("standard-only"))
-        (row,) = GridCell(12, 0.1, config, None, "evaluate: boom").csv_rows()
+        (row,) = ExperimentResult(12, 0.1, config, error="evaluate: boom").csv_rows()
         assert set(row) == set(CSV_COLUMNS)
         assert row["fold"] == -1
         assert (row["n_puzzles"], row["difficulty"], row["ablation"]) == (12, 0.1, "standard-only")
@@ -450,7 +462,18 @@ class TestResultsCsv:
     def test_cell_with_result_gives_its_fold_rows(self):
         config = TrainConfig(epochs=1, folds=2)
         result = kfold_evaluate(build_dataset(4, 0.1, 1), config)
-        assert GridCell(4, 0.1, config, result, None).csv_rows() == result_rows(result, 4, 0.1)
+        assert (result.n_puzzles, result.difficulty, result.error) == (4, 0.1, None)
+        rows = ExperimentResult(4, 0.1, config, result.folds).csv_rows()
+        assert rows == result.csv_rows()
+        assert rows == [{
+            "n_puzzles": 4, "difficulty": 0.1, "ablation": "all-combined", "fold": fr.fold,
+            "acc_all": f"{fr.accuracy_all:.6f}", "acc_empty": f"{fr.accuracy_empty:.6f}",
+            "loss_standard": f"{fr.val_loss.standard:.6f}",
+            "loss_constraints": f"{fr.val_loss.constraints:.6f}",
+            "loss_expert": f"{fr.val_loss.expert:.6f}",
+            "loss_combined": f"{fr.val_loss.combined:.6f}",
+            "epochs": 1, "seed": 0,
+        } for fr in result.folds]
 
 
 GRID_ROWS = [(4, 0.1), (3, 0.3)]
@@ -467,12 +490,12 @@ class TestRunGrid:
             (n, d, seed, label)
             for (n, d), seed, label in itertools.product(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS)
         ]
-        assert all(c.error is None and c.result.config == c.config for c in cells)
+        assert all(c.error is None and len(c.folds) == GRID_RUN.folds for c in cells)
 
     def test_each_cell_trains_on_its_row_and_seed_dataset(self):
         for cell in run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN):
             dataset = build_dataset(cell.n_puzzles, cell.difficulty, cell.config.seed)
-            assert cell.result.fingerprint == dataset_fingerprint(dataset)
+            assert cell.fingerprint == dataset_fingerprint(dataset)
 
     def test_each_cell_equals_a_direct_kfold_run(self):
         for cell in run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN):
@@ -482,9 +505,9 @@ class TestRunGrid:
             assert cell.config == config
             direct = kfold_evaluate(build_dataset(cell.n_puzzles, cell.difficulty,
                                                   cell.config.seed), config)
-            assert cell.result.mean_all == direct.mean_all
-            assert cell.result.mean_empty == direct.mean_empty
-            assert cell.csv_rows() == result_rows(direct, cell.n_puzzles, cell.difficulty)
+            assert cell.mean_all == direct.mean_all
+            assert cell.mean_empty == direct.mean_empty
+            assert cell.csv_rows() == direct.csv_rows()
 
     @pytest.mark.parametrize("rows,seeds,ablations,message", [
         ([(4, 0.1)], [0], ["standard-only", "nope"], "unknown ablation label: 'nope'"),
@@ -522,8 +545,8 @@ class TestRunGrid:
         assert len(cells) == len(GRID_SEEDS) * len(GRID_ABLATIONS)
         failed = [c for c in cells if c.error is not None]
         assert [(c.config.seed, c.config.loss.ablation) for c in failed] == [(0, "standard+expert")]
-        assert failed[0].error == "evaluate: boom" and failed[0].result is None
-        assert all(c.result is not None for c in cells if c.error is None)
+        assert failed[0].error == "evaluate: boom" and failed[0].folds == []
+        assert all(c.folds != [] for c in cells if c.error is None)
 
     def test_failed_dataset_fails_that_row_and_seed_only(self, monkeypatch):
         def flaky_build(n, difficulty, seed):
@@ -542,7 +565,7 @@ class TestRunGrid:
         def grid():
             cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
             return ([c.csv_rows() for c in cells],
-                    [[fold.history for fold in c.result.folds] for c in cells])
+                    [[fold.history for fold in c.folds] for c in cells])
 
         monkeypatch.setattr(training, "_pool_size", lambda n_cells: 1)
         one_worker = grid()
@@ -606,7 +629,7 @@ class TestRunGrid:
 
         monkeypatch.setattr(training, "kfold_evaluate", evaluate_and_count_threads)
         cells = list(run_grid([(12, 0.1)], [0], GRID_ABLATIONS, replace(GRID_RUN, epochs=3)))
-        assert [c.result[1] for c in cells] == [1] * len(GRID_ABLATIONS)
+        assert [c[1] for c in cells] == [1] * len(GRID_ABLATIONS)
 
     def test_pool_size_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
