@@ -4,7 +4,7 @@
 # modes.
 
 from neurosudoku.charts import grid_to_text, render_prediction
-from neurosudoku.grids import SCOPE_ALL, cell_accuracy, format_grid
+from neurosudoku.grids import cell_accuracy, format_grid
 from neurosudoku.losses import ablation_config
 from neurosudoku.training import (
     TrainConfig,
@@ -36,7 +36,7 @@ print(f"\ntrained on {len(train_set)} puzzles, "
 print("\nheld-out puzzle:", format_grid(holdout.puzzle))
 for mode in ("argmax", "greedy-constrained", "hybrid-complete"):
     predicted = solve_with_model(params, holdout.puzzle, mode)
-    acc_all = cell_accuracy(predicted, holdout.solution, holdout.mask, SCOPE_ALL)
+    acc_all, _ = cell_accuracy(predicted, holdout.solution, holdout.mask)
     print(f"{mode:18s} -> {format_grid(predicted)}  acc_all={acc_all:.3f}")
 
 # Figure-style comparison: given cells plain, predicted cells colored by

@@ -27,18 +27,20 @@ dead ends in a first-solution search and 1.1M in a capped count.  Only a
 search that switches can return a different first solution of a puzzle with
 several.
 
-The root state is seeded from the givens in one pass: the digits given in
-each of the 27 units become a 9-bit mask, a digit given twice in a unit
-fails, and each empty cell starts with the digits that its row, column and
-box lack, failing if none is left.  Only the empty cells left with a single
-candidate are then assigned, cascading as in the search.  This is the same
-naked-single closure that assigning the givens one at a time reaches, so
-solutions, their order and the search statistics other than
-``propagations`` are the same; on a 0.1 puzzle (73 givens) it takes about a
-quarter of the time.  ``SolveStats.propagations`` counts the cells other
-than givens and branch cells that propagation decides, so a puzzle that
-propagation solves from the root reads its number of empty cells, in any
-cell order.
+Digit sets are 9-bit masks, bit d-1 for digit d; ``SET_BITS[mask]`` lists
+a mask's digit indices, ascending.  The root state is seeded from the
+givens' ``unit_masks``, the digits placed in each of the 27 units, which
+the greedy post-processing of ``training`` starts from too.  A digit given
+twice in a unit fails, and each empty cell starts with the digits that its
+row, column and box lack, failing if none is left.  Only the empty cells
+left with a single candidate are then assigned, cascading as in the
+search.  This is the same naked-single closure that assigning the givens
+one at a time reaches, so solutions, their order and the search statistics
+other than ``propagations`` are the same; on a 0.1 puzzle (73 givens) it
+takes about a quarter of the time.  ``SolveStats.propagations`` counts the
+cells other than givens and branch cells that propagation decides, so a
+puzzle that propagation solves from the root reads its number of empty
+cells, in any cell order.
 
 ``mask_puzzle(..., require_unique=True)`` redraws masks until one leaves a
 single completion.  Most draws that fail blank all four cells of an
@@ -72,6 +74,10 @@ from .grids import (
 )
 
 ALL_DIGITS = 0x1FF  # bits 0..8 <-> digits 1..9
+# SET_BITS[mask]: the digit indices (digit - 1) set in the mask, ascending.
+SET_BITS = tuple(
+    tuple(d for d in range(GRID_SIZE) if mask >> d & 1) for mask in range(ALL_DIGITS + 1)
+)
 
 
 class UniquenessError(ValueError):
@@ -127,13 +133,6 @@ def _assign(cands: list, idx: int, bit: int, stats: SolveStats) -> bool:
     return True
 
 
-def _bits_ascending(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
-
-
 def _place_hidden_singles(cands: list, stats: SolveStats) -> bool:
     """Place every digit left with one cell in a unit, to a fixpoint.  False
     when a unit has no place left for a digit, which covers one cell being
@@ -151,7 +150,8 @@ def _place_hidden_singles(cands: list, stats: SolveStats) -> bool:
                     decided |= m
             if seen != ALL_DIGITS:
                 return False
-            for bit in _bits_ascending(seen & ~twice & ~decided):
+            for d in SET_BITS[seen & ~twice & ~decided]:
+                bit = 1 << d
                 # the digit's one place is gone if an earlier placement took
                 # it for another digit or propagation removed the digit there
                 cell = next((c for c in unit if cands[c] & bit), -1)
@@ -183,9 +183,9 @@ def _cands_to_grid(cands: list) -> np.ndarray:
     ).reshape(GRID_SIZE, GRID_SIZE)
 
 
-def _search(cands, out, limit, stats, order_bits) -> bool:
-    """Enumerate completions depth-first into ``out``, as candidate lists.
-    Returns False once ``limit`` is hit."""
+def _search(cands, out, limit, stats, order) -> bool:
+    """Enumerate completions depth-first into ``out``, as candidate lists,
+    trying digits in ``order(mask)``.  Returns False once ``limit`` is hit."""
     if stats.dead_ends >= HIDDEN_SINGLES_AFTER and not _place_hidden_singles(cands, stats):
         stats.dead_ends += 1
         return True
@@ -193,14 +193,28 @@ def _search(cands, out, limit, stats, order_bits) -> bool:
     if cell < 0:
         out.append(cands)
         return len(out) < limit
-    for bit in order_bits(cands[cell]):
+    for d in order(cands[cell]):
         stats.nodes += 1
         child = cands.copy()
-        if not _assign(child, cell, bit, stats):
+        if not _assign(child, cell, 1 << d, stats):
             stats.dead_ends += 1
-        elif not _search(child, out, limit, stats, order_bits):
+        elif not _search(child, out, limit, stats, order):
             return False
     return True
+
+
+def unit_masks(values) -> list:
+    """The digits placed in each of the 27 units, as 9-bit masks, from the
+    81 flat cell values (0 for an empty cell)."""
+    used = [0] * len(UNIT_CELLS)
+    for idx, v in enumerate(values):
+        if v:
+            bit = 1 << (v - 1)
+            row, col, box = CELL_UNIT_IDS[idx]
+            used[row] |= bit
+            used[col] |= bit
+            used[box] |= bit
+    return used
 
 
 def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
@@ -209,17 +223,11 @@ def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
     values = puzzle.reshape(-1).tolist()
     if not any(values):  # the empty grid, which every generate_solved call seeds
         return [ALL_DIGITS] * N_CELLS
-    # placed[u]: the given digits of unit u; a digit given twice in a unit fails
-    placed = [0] * len(UNIT_CELLS)
-    for idx, v in enumerate(values):
-        if v:
-            bit = 1 << (v - 1)
-            row, col, box = CELL_UNIT_IDS[idx]
-            if (placed[row] | placed[col] | placed[box]) & bit:
-                return None
-            placed[row] |= bit
-            placed[col] |= bit
-            placed[box] |= bit
+    placed = unit_masks(values)
+    # each given adds its bit to three units, so the popcounts fall short of
+    # three per given exactly when a unit repeats a digit
+    if sum(m.bit_count() for m in placed) != 3 * (N_CELLS - values.count(0)):
+        return None
     cands = [0] * N_CELLS
     singles = []
     for idx, v in enumerate(values):
@@ -261,7 +269,7 @@ def count_solutions(puzzle, cap: int) -> int:
     return len(_complete(puzzle, cap).solutions)
 
 
-def _complete(puzzle, limit: int, order_bits=_bits_ascending) -> SolveOutcome:
+def _complete(puzzle, limit: int, order=SET_BITS.__getitem__) -> SolveOutcome:
     """``solve``'s search, with the completions left as candidate lists."""
     puzzle = as_grid(puzzle)
     if limit < 1:
@@ -272,7 +280,7 @@ def _complete(puzzle, limit: int, order_bits=_bits_ascending) -> SolveOutcome:
     if cands is None:
         outcome.exhausted = True
         return outcome
-    outcome.exhausted = _search(cands, outcome.solutions, limit, stats, order_bits)
+    outcome.exhausted = _search(cands, outcome.solutions, limit, stats, order)
     return outcome
 
 
@@ -284,12 +292,12 @@ def generate_solved(seed: int) -> np.ndarray:
     """
     rng = random.Random(seed)
 
-    def shuffled_bits(mask: int):
-        bits = list(_bits_ascending(mask))
-        rng.shuffle(bits)
-        return bits
+    def shuffled(mask: int):
+        digits = list(SET_BITS[mask])
+        rng.shuffle(digits)
+        return digits
 
-    outcome = _complete(np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64), 1, shuffled_bits)
+    outcome = _complete(np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64), 1, shuffled)
     return _cands_to_grid(outcome.solutions[0])
 
 

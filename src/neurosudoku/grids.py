@@ -35,9 +35,6 @@ INCIDENCE[np.arange(len(UNITS))[:, None], UNITS] = 1.0
 # The three units of each cell (81, 3): its row, its column, its box.
 CELL_UNITS = np.nonzero(INCIDENCE.T)[1].reshape(N_CELLS, 3)
 
-SCOPE_ALL = "all-cells"
-SCOPE_EMPTY = "empty-cells"
-
 
 def as_grid(cells) -> np.ndarray:
     """Coerce to a validated 9x9 integer grid (values 0..9)."""
@@ -82,26 +79,20 @@ def is_consistent_partial(grid) -> bool:
     return not ((units[:, 1:] == units[:, :-1]) & (units[:, 1:] != 0)).any()
 
 
-def cell_accuracy(predicted, truth, mask, scope: str = SCOPE_ALL) -> float:
-    """Fraction of correctly predicted cells.
+def cell_accuracy(predicted, truth, mask) -> tuple:
+    """Fractions of correctly predicted cells in both scopes: (all-cells,
+    empty-cells).
 
-    scope="all-cells" counts all 81 cells; scope="empty-cells" counts only
-    cells that were empty in the puzzle (mask true).  An empty-cell scope
-    with no masked cells scores 1.0 by convention.  A cell the prediction
-    leaves empty (0), as greedy post-processing may, counts as wrong.
+    All-cells counts all 81 cells; empty-cells counts only cells that were
+    empty in the puzzle (mask true), and scores 1.0 by convention when no
+    cell is masked.  A cell the prediction leaves empty (0), as greedy
+    post-processing may, counts as wrong.
     """
-    predicted = as_grid(predicted)
-    truth = as_grid(truth)
+    matches = as_grid(predicted) == as_grid(truth)
     mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
-    matches = predicted == truth
-    if scope == SCOPE_ALL:
-        return float(matches.mean())
-    if scope == SCOPE_EMPTY:
-        n_masked = int(mask.sum())
-        if n_masked == 0:
-            return 1.0
-        return float(matches[mask].sum() / n_masked)
-    raise ValueError(f"unknown accuracy scope: {scope!r}")
+    n_masked = int(mask.sum())
+    empty = float(matches[mask].sum() / n_masked) if n_masked else 1.0
+    return float(matches.mean()), empty
 
 
 def masked_cell_count(difficulty: float) -> int:

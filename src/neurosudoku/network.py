@@ -22,6 +22,7 @@ owned by the optimizer state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -250,8 +251,9 @@ def save_params(params: ModelParams, path, seed: int = 0) -> None:
 def load_params(path):
     """Read a checkpoint.  Returns (params, seed).
 
-    Raises CheckpointError for anything but a versioned checkpoint object
-    holding every field as a finite numeric array of its shape.
+    Raises CheckpointError for anything but a checkpoint object of version
+    1 (a JSON integer) holding every field as an array of its shape of
+    finite JSON numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -267,9 +269,10 @@ def load_params(path):
             f"checkpoint {path} has format {payload.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
         )
-    if payload.get("version") != CHECKPOINT_VERSION:
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
         raise CheckpointError(
-            f"checkpoint {path} has version {payload.get('version')!r}, "
+            f"checkpoint {path} has version {json.dumps(version)}, "
             f"expected {CHECKPOINT_VERSION}"
         )
     params = zeros_params()
@@ -286,6 +289,11 @@ def load_params(path):
             raise CheckpointError(
                 f"checkpoint {path}: field {f} has shape {arr.shape}, expected {shape}"
             )
+        # numpy reads strings and booleans as numbers too; JSON entries must be numbers
+        entries = payload[f] if arr.ndim == 1 else list(itertools.chain.from_iterable(payload[f]))
+        if not set(map(type, entries)) <= {int, float}:
+            bad = next(v for v in entries if type(v) not in (int, float))
+            raise CheckpointError(f"checkpoint {path}: field {f} holds non-number {json.dumps(bad)}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"checkpoint {path}: field {f} has non-finite values")
         setattr(params, f, arr)

@@ -26,14 +26,12 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
-from .engine import ALL_DIGITS, CELL_UNIT_IDS, generate_solved, mask_puzzle, solve
+from .engine import (ALL_DIGITS, CELL_UNIT_IDS, SET_BITS, generate_solved, mask_puzzle, solve,
+                     unit_masks)
 from .grids import (
     GRID_SIZE,
     N_CELLS,
-    UNITS,
     PuzzleInstance,
-    SCOPE_ALL,
-    SCOPE_EMPTY,
     as_grid,
     cell_accuracy,
     format_grid,
@@ -64,10 +62,6 @@ MODE_ARGMAX = "argmax"
 MODE_GREEDY = "greedy-constrained"
 MODE_HYBRID = "hybrid-complete"
 POSTPROCESS_MODES = (MODE_ARGMAX, MODE_GREEDY, MODE_HYBRID)
-# For the greedy loop: the set bits of each 9-bit digit mask, ascending.
-_SET_BITS = tuple(
-    tuple(bit for bit in range(GRID_SIZE) if mask >> bit & 1) for mask in range(ALL_DIGITS + 1)
-)
 
 
 def _check_postprocess_mode(mode: str) -> str:
@@ -356,12 +350,7 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     grid = puzzle.copy()
     cells = grid.reshape(-1)
     probs = tensor.reshape(N_CELLS, GRID_SIZE)
-    # used[u]: the digits placed in unit u, bit d-1 for digit d (engine.ALL_DIGITS)
-    used = [0] * len(UNITS)
-    for cell, digit in enumerate(cells.tolist()):
-        if digit:
-            for unit in CELL_UNIT_IDS[cell]:
-                used[unit] |= 1 << (digit - 1)
+    used = unit_masks(cells.tolist())
     empties = np.flatnonzero(cells == 0)
     # most confident cell first; stable sort keeps row-major order on ties
     order = empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]
@@ -370,7 +359,7 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
         free = ALL_DIGITS & ~(used[row] | used[col] | used[box])
         if free:
             # most probable free digit; max keeps the first, smallest, on ties
-            bit = max(_SET_BITS[free], key=prob.__getitem__)
+            bit = max(SET_BITS[free], key=prob.__getitem__)
             cells[cell] = bit + 1
             used[row] |= 1 << bit
             used[col] |= 1 << bit
@@ -420,13 +409,12 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
         train_set = [canon[i] for i in train_idx]
         val_set = [canon[i] for i in val_idx]
         params, history = train_fn(train_set, config, config.seed + fold_idx)
-        acc_all, acc_empty, parts = [], [], []
+        scores, parts = [], []
         for inst in val_set:
             tensor, _ = forward(params, encode_input(inst.puzzle))
-            predicted = predict_fn(tensor, inst)
-            acc_all.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_ALL))
-            acc_empty.append(cell_accuracy(predicted, inst.solution, inst.mask, SCOPE_EMPTY))
+            scores.append(cell_accuracy(predict_fn(tensor, inst), inst.solution, inst.mask))
             parts.append(combined_loss(tensor, inst, config.loss))
+        acc_all, acc_empty = zip(*scores)
         val_loss = LossBreakdown(*(float(np.mean(column)) for column in zip(*map(astuple, parts))))
         fold_results.append(FoldResult(
             fold=fold_idx,

@@ -18,12 +18,7 @@ import pytest
 
 from conftest import one_hot_tensor
 from neurosudoku.engine import generate_solved, mask_puzzle, solve
-from neurosudoku.grids import (
-    SCOPE_ALL,
-    SCOPE_EMPTY,
-    is_valid_complete,
-    masked_cell_count,
-)
+from neurosudoku.grids import is_valid_complete, masked_cell_count
 from neurosudoku.losses import (
     LossConfig,
     MODE_FIXED_TARGET,
@@ -119,13 +114,16 @@ def test_criterion_2_gradient_correctness():
         all_combined = ablation_config("all-combined")
 
         def loss_vector(p):
+            # combined_loss measures standard, solution-consistent constraints
+            # and expert with the same calls as the separate functions
             tensor, _ = forward(p, x)
+            parts = combined_loss(tensor, inst, all_combined)
             return np.array([
-                standard_loss(tensor, inst.solution),
+                parts.standard,
                 constraints_loss(tensor, inst.puzzle, MODE_FIXED_TARGET),
-                constraints_loss(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT),
-                expert_loss(tensor),
-                combined_loss(tensor, inst, all_combined).combined,
+                parts.constraints,
+                parts.expert,
+                parts.combined,
             ])
 
         tensor, cache = forward(params, x)
@@ -326,9 +324,9 @@ def test_criterion_8_small_data_point_estimates(ablation_grid):
         delta_all = abs(mean_all - reference)
         delta_empty = abs(mean_empty - reference)
         if delta_all <= delta_empty:
-            scope, measured, delta = SCOPE_ALL, mean_all, delta_all
+            scope, measured, delta = "all-cells", mean_all, delta_all
         else:
-            scope, measured, delta = SCOPE_EMPTY, mean_empty, delta_empty
+            scope, measured, delta = "empty-cells", mean_empty, delta_empty
         within = delta <= tolerance
         ok = ok and within
         lines.append(

@@ -589,6 +589,18 @@ class TestSolve:
         assert code == 2
         assert "format" in capsys.readouterr().err
 
+    def test_checkpoint_with_string_weights_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "strings.json"
+        save_params(init_params(0), bad)
+        payload = json.loads(bad.read_text())
+        payload["b1"] = [str(v) for v in payload["b1"]]
+        bad.write_text(json.dumps(payload))
+        code = run_cli("solve", "--model", str(bad), "." * 81)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "field b1 holds non-number" in captured.err
+        assert not captured.out
+
 
 class TestFileErrors:
     """A file that cannot be read or written exits 1 with one line naming it."""

@@ -131,6 +131,35 @@ class TestSolve:
         for x, y in zip(a.solutions, b.solutions):
             assert (x == y).all()
 
+    # sha256 over solve(puzzle, 1), (…, 2) and (…, 100) of each puzzle: the
+    # solutions in order, exhausted and every SolveStats counter.  Together
+    # with TestGenerateSolved.test_grids_are_pinned this pins the search order.
+    @pytest.mark.parametrize("kind,digest", [
+        ("masked-0.1-to-0.8", "da859cc70bedd6894e38751a46523b9de320271a3810f7baec91a8e5793b40cf"),
+        ("tails-0.8", "a19fd3b96a38e46dbcf1b6857c160caabb2b9bf1fb56b4d6bb3f218f58628c66"),
+        ("unique-0.6", "f38406936d8f752678615a40f5823e096cba05a0084c9e859800bdb8fad126de"),
+        ("empty", "37d534d8c090585e60d124b5c25335a537512edbf51d32128e898b16dd55afea"),
+    ])
+    def test_solutions_order_and_stats_are_pinned(self, kind, digest):
+        puzzles = {
+            "masked-0.1-to-0.8": lambda: [mask_puzzle(generate_solved(s), d, s).puzzle
+                                          for s in range(40) for d in (0.1, 0.3, 0.6, 0.8)],
+            "tails-0.8": lambda: [mask_puzzle(generate_solved(s), 0.8, s).puzzle
+                                  for s in (82, 100, 1104)],
+            "unique-0.6": lambda: [mask_puzzle(generate_solved(s), 0.6, s, require_unique=True)
+                                   .puzzle for s in range(10)],
+            "empty": lambda: [np.zeros((9, 9), dtype=np.int64)],
+        }[kind]()
+        h = hashlib.sha256()
+        for puzzle in puzzles:
+            for limit in (1, 2, 100):
+                outcome = solve(puzzle, limit)
+                s = outcome.stats
+                h.update(repr((limit, outcome.exhausted, s.nodes, s.propagations, s.dead_ends,
+                               s.hidden_singles)).encode())
+                h.update(b"".join(grid.tobytes() for grid in outcome.solutions))
+        assert h.hexdigest() == digest
+
     def test_search_stats_are_counted(self):
         outcome = solve(np.zeros((9, 9), dtype=int), 2)
         assert outcome.stats.nodes > 0

@@ -7,8 +7,6 @@ from neurosudoku.grids import (
     CELL_UNITS,
     UNITS,
     PuzzleInstance,
-    SCOPE_ALL,
-    SCOPE_EMPTY,
     as_grid,
     cell_accuracy,
     format_grid,
@@ -135,14 +133,13 @@ class TestCellAccuracy:
     def test_perfect_prediction(self, solved_grid):
         mask = np.zeros(81, dtype=bool)
         mask[:10] = True
-        for scope in (SCOPE_ALL, SCOPE_EMPTY):
-            assert cell_accuracy(solved_grid, solved_grid, mask, scope) == 1.0
+        assert cell_accuracy(solved_grid, solved_grid, mask) == (1.0, 1.0)
 
     def test_one_wrong_cell_all_scope(self, solved_grid):
         pred = solved_grid.copy()
         pred[2, 2] = pred[2, 2] % 9 + 1
         mask = np.zeros(81, dtype=bool)
-        assert cell_accuracy(pred, solved_grid, mask, SCOPE_ALL) == pytest.approx(80 / 81)
+        assert cell_accuracy(pred, solved_grid, mask)[0] == pytest.approx(80 / 81)
 
     def test_empty_scope_counts_only_masked(self, solved_grid):
         mask = np.zeros((9, 9), dtype=bool)
@@ -152,22 +149,17 @@ class TestCellAccuracy:
         pred = solved_grid.copy()
         for i, j in masked_cells[:2]:  # wrong on 2 of the 8
             pred[i, j] = pred[i, j] % 9 + 1
-        assert cell_accuracy(pred, solved_grid, mask, SCOPE_EMPTY) == pytest.approx(0.75)
+        assert cell_accuracy(pred, solved_grid, mask)[1] == pytest.approx(0.75)
 
     def test_empty_scope_with_no_masked_cells(self, solved_grid):
-        assert cell_accuracy(solved_grid, solved_grid, np.zeros(81, bool), SCOPE_EMPTY) == 1.0
+        assert cell_accuracy(solved_grid, solved_grid, np.zeros(81, bool))[1] == 1.0
 
     def test_empty_predicted_cell_counts_as_wrong(self, solved_grid):
         pred = solved_grid.copy()
         pred[0, 0] = pred[4, 4] = 0
         mask = np.zeros((9, 9), dtype=bool)
         mask[0, :4] = True
-        assert cell_accuracy(pred, solved_grid, mask, SCOPE_ALL) == pytest.approx(79 / 81)
-        assert cell_accuracy(pred, solved_grid, mask, SCOPE_EMPTY) == pytest.approx(3 / 4)
-
-    def test_unknown_scope_rejected(self, solved_grid):
-        with pytest.raises(ValueError, match="scope"):
-            cell_accuracy(solved_grid, solved_grid, np.zeros(81, bool), "bogus")
+        assert cell_accuracy(pred, solved_grid, mask) == pytest.approx((79 / 81, 3 / 4))
 
 
 class TestMaskedCellCount:

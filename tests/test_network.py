@@ -337,8 +337,18 @@ class TestCheckpoint:
         (lambda payload: {**payload, "seed": 1.5}, "seed must be an integer"),
         (lambda payload: {**payload, "seed": True}, "seed must be an integer"),
         (lambda payload: {**payload, "seed": "3"}, "seed must be an integer"),
+        # numpy would read each of these as a number
+        (lambda payload: {**payload, "b1": ["0.5"] * 64}, 'b1 holds non-number "0.5"'),
+        (lambda payload: {**payload, "W1": [["1"] * 81] * 64}, 'W1 holds non-number "1"'),
+        (lambda payload: {**payload, "b1": [True] * 64}, "b1 holds non-number true"),
+        (lambda payload: {**payload, "b2": payload["b2"][:-1] + [True]},
+         "b2 holds non-number true"),
+        (lambda payload: {**payload, "version": True}, "version true, expected 1"),
+        (lambda payload: {**payload, "version": 1.0}, "version 1.0, expected 1"),
     ], ids=["json-list", "missing-field", "non-numeric", "nan-weights", "integer-too-large",
-            "seed-infinite", "seed-1.5", "seed-true", "seed-string"])
+            "seed-infinite", "seed-1.5", "seed-true", "seed-string", "weights-strings",
+            "weight-rows-strings", "weights-booleans", "one-boolean-weight", "version-true",
+            "version-float"])
     def test_malformed_payload_raises_checkpoint_error(self, tmp_path, edit, match):
         import json
 
