@@ -159,7 +159,7 @@ def comparison_chart(title: str, group_labels, series) -> str:
         parts.append(
             f'<text x="{xcenter(g):.1f}" y="{margin_t + plot_h + 18}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(str(label))}</text>"
+            f"{escape(label)}</text>"
         )
 
     n_series = max(1, len(series))
@@ -171,8 +171,8 @@ def comparison_chart(title: str, group_labels, series) -> str:
             v = min(max(float(v), 0.0), 1.0)
             x = xcenter(g) - group_w * 0.4 + s * bar_w
             parts.append(
-                f'<rect class="bar" data-group="{escape(str(group_labels[g]))}" '
-                f'data-series="{escape(str(label))}" x="{x:.1f}" '
+                f'<rect class="bar" data-group="{escape(group_labels[g])}" '
+                f'data-series="{escape(label)}" x="{x:.1f}" '
                 f'y="{ypix(v):.1f}" width="{bar_w:.1f}" '
                 f'height="{plot_h * v:.1f}" fill="{color}"/>'
             )
@@ -183,7 +183,7 @@ def comparison_chart(title: str, group_labels, series) -> str:
         )
         parts.append(
             f'<text x="{lx + 18}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(label))}</text>'
+            f'font-size="12">{escape(label)}</text>'
         )
     x_axis_y = ypix(0.0)
     parts.append(

@@ -11,7 +11,8 @@ subcommand's.  ``--config <json>`` names an experiment config file; a flag
 the user sets overrides its key.  A ``--flag value``, ``--flag=value`` or
 no-value ``--flag`` before the subcommand is shorthand for the same flag
 after it.  The library function that consumes an input checks its rules;
-this module only parses text.  Exit code 0 iff all requested work
+this module parses text and checks only that a puzzle argument's givens do
+not clash.  Exit code 0 iff all requested work
 succeeded; a flag the subcommand does not read and every ``ValueError``
 (the library's type for bad input) exit 2; a file that cannot be read or
 written (``OSError``, whose message names the path) and other runtime
@@ -171,10 +172,16 @@ def cmd_table1(args, settings: dict) -> int:
     return 1 if failed else 0
 
 
-def cmd_solve(args, settings: dict) -> int:
-    puzzle = grids.parse_grid(args.puzzle)
+def _read_puzzle(text: str):
+    """The puzzle that ``text`` spells; ValueError when its givens clash."""
+    puzzle = grids.parse_grid(text)
     if not grids.is_consistent_partial(puzzle):
         raise ValueError("puzzle givens are inconsistent (duplicate digit in a unit)")
+    return puzzle
+
+
+def cmd_solve(args, settings: dict) -> int:
+    puzzle = _read_puzzle(args.puzzle)
     # checked before the model is read, so a bad mode exits 2 even without one
     mode = training._check_postprocess_mode(training.read_setting(
         settings, "postprocess_mode", str, training.TrainConfig.postprocess_mode))
@@ -205,7 +212,7 @@ def cmd_solve(args, settings: dict) -> int:
 
 
 def cmd_export_asp(args, settings: dict) -> int:
-    program = engine.emit_asp_program(grids.parse_grid(args.puzzle))
+    program = engine.emit_asp_program(_read_puzzle(args.puzzle))
     out_path = _out_path(args, args.asp_out, "puzzle.lp")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(program)

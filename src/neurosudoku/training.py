@@ -204,11 +204,13 @@ class ExperimentResult:
                 for fr in self.folds]
 
 
+def _canonical_line(inst: PuzzleInstance) -> str:
+    return f"{format_grid(inst.puzzle)}:{format_grid(inst.solution)}"
+
+
 def dataset_fingerprint(dataset) -> str:
     """Order-independent hash of the dataset's puzzle and solution texts."""
-    lines = sorted(
-        f"{format_grid(inst.puzzle)}:{format_grid(inst.solution)}" for inst in dataset
-    )
+    lines = sorted(map(_canonical_line, dataset))
     return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
@@ -371,35 +373,25 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     return grid
 
 
-def _canonical_key(inst: PuzzleInstance):
-    return (format_grid(inst.puzzle), format_grid(inst.solution), inst.seed)
-
-
-def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None) -> ExperimentResult:
+def kfold_evaluate(dataset, config: TrainConfig) -> ExperimentResult:
     """K-fold cross-validation with a fresh model per fold.
 
-    The dataset is put in canonical order and then shuffled by the config
-    seed, so results do not depend on input order.  Each fold trains on the
-    other folds only (init seed = config.seed + fold index) and validates
-    on its own block; accuracies are reported in both scopes.
+    The dataset is put in canonical order, that of its fingerprint's lines,
+    and then shuffled by the config seed, so results do not depend on input
+    order.  Each fold trains on the other folds only (``train`` with init
+    seed = config.seed + fold index) and validates on its own block;
+    accuracies are reported in both scopes.
 
     One forward pass per validation puzzle gives both its validation loss
-    and its prediction.  ``train_fn``/``predict_fn(tensor, inst)`` are
-    injection points for tests: they default to ``train`` and
-    ``postprocess`` with the configured mode.  ValueError before training
-    for a dataset without one difficulty or with fewer puzzles than folds.
+    and, through ``postprocess`` in the configured mode, its prediction.
+    ValueError before training for a dataset without one difficulty or with
+    fewer puzzles than folds.
     """
     difficulty = dataset_difficulty(dataset)
     n = len(dataset)
     if config.folds > n:
         raise ValueError(f"dataset has {n} puzzles, fewer than folds={config.folds}")
-    if train_fn is None:
-        train_fn = train
-    if predict_fn is None:
-        def predict_fn(tensor, inst):
-            return postprocess(tensor, inst.puzzle, config.postprocess_mode)
-
-    canon = sorted(dataset, key=_canonical_key)
+    canon = sorted(dataset, key=_canonical_line)
     perm = np.random.default_rng(config.seed).permutation(n)
     blocks = np.array_split(perm, config.folds)
     fold_results = []
@@ -408,11 +400,12 @@ def kfold_evaluate(dataset, config: TrainConfig, train_fn=None, predict_fn=None)
         train_idx = [i for j, b in enumerate(blocks) if j != fold_idx for i in b]
         train_set = [canon[i] for i in train_idx]
         val_set = [canon[i] for i in val_idx]
-        params, history = train_fn(train_set, config, config.seed + fold_idx)
+        params, history = train(train_set, config, config.seed + fold_idx)
         scores, parts = [], []
         for inst in val_set:
             tensor, _ = forward(params, encode_input(inst.puzzle))
-            scores.append(cell_accuracy(predict_fn(tensor, inst), inst.solution, inst.mask))
+            predicted = postprocess(tensor, inst.puzzle, config.postprocess_mode)
+            scores.append(cell_accuracy(predicted, inst.solution, inst.mask))
             parts.append(combined_loss(tensor, inst, config.loss))
         acc_all, acc_empty = zip(*scores)
         val_loss = LossBreakdown(*(float(np.mean(column)) for column in zip(*map(astuple, parts))))
@@ -503,13 +496,9 @@ def _grid_cells(cells):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(_pool_size(len(cells)),
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        jobs = [pool.submit(_evaluate_cell, *cell) for cell in cells]
-        yield from (job.result() for job in jobs)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(_pool_size(len(cells)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(_evaluate_cell, *zip(*cells))
 
 
 def write_results_csv(rows, path) -> None:

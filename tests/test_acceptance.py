@@ -18,7 +18,7 @@ import pytest
 
 from conftest import one_hot_tensor
 from neurosudoku.engine import generate_solved, mask_puzzle, solve
-from neurosudoku.grids import is_valid_complete, masked_cell_count
+from neurosudoku.grids import format_grid, is_valid_complete, masked_cell_count
 from neurosudoku.losses import (
     LossConfig,
     MODE_FIXED_TARGET,
@@ -40,6 +40,7 @@ from neurosudoku.network import (
     forward,
     init_params,
 )
+from neurosudoku import training
 from neurosudoku.training import TrainConfig, build_dataset, kfold_evaluate, run_grid, train
 
 from oracles import block_relative_error, finite_difference_grads, solve_naive
@@ -222,19 +223,22 @@ def test_criterion_4_training_loop():
 # criterion 5: the k-fold contract
 
 
-def test_criterion_5_kfold_contract():
+def test_criterion_5_kfold_contract(monkeypatch):
     dataset = build_dataset(12, 0.3, 5)
     config = TrainConfig(epochs=1, folds=3)
+    solutions = {format_grid(inst.puzzle): inst.solution for inst in dataset}
     validated = []
 
     def stub_train(train_set, cfg, init_seed):
         return init_params(init_seed), [0.0] * cfg.epochs
 
-    def truth_predict(tensor, inst):
-        validated.append(tuple(inst.puzzle.reshape(-1).tolist()))
-        return inst.solution
+    def truth_postprocess(tensor, puzzle, mode):
+        validated.append(format_grid(puzzle))
+        return solutions[format_grid(puzzle)]
 
-    result = kfold_evaluate(dataset, config, train_fn=stub_train, predict_fn=truth_predict)
+    monkeypatch.setattr(training, "train", stub_train)
+    monkeypatch.setattr(training, "postprocess", truth_postprocess)
+    result = kfold_evaluate(dataset, config)
     assert len(validated) == 12
     assert len(set(validated)) == 12
     assert result.mean_all == 1.0 and result.std_all == 0.0

@@ -834,3 +834,9 @@ class TestExportAsp:
     def test_malformed_puzzle_exits_2(self, capsys):
         assert run_cli("export-asp", "12345") == 2
         assert "expected 81 characters" in capsys.readouterr().err
+
+    def test_inconsistent_puzzle_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "prog.lp"
+        assert run_cli("export-asp", "1" * 81, "--asp-out", str(out)) == 2
+        assert "inconsistent" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

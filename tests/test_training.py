@@ -189,45 +189,55 @@ class TestTrain:
         assert history[-1] < 0.1 * history[0]
 
 
+def truth_postprocess(dataset, seen=None):
+    """A ``postprocess`` stub that returns each puzzle's own solution and
+    appends the puzzle's text to ``seen`` when given."""
+    solutions = {format_grid(inst.puzzle): inst.solution for inst in dataset}
+
+    def stub(tensor, puzzle, mode):
+        text = format_grid(puzzle)
+        if seen is not None:
+            seen.append(text)
+        return solutions[text]
+
+    return stub
+
+
+def stub_train(train_set, cfg, init_seed):
+    return init_params(init_seed), [0.0] * cfg.epochs
+
+
 class TestKFold:
-    def test_each_puzzle_validated_exactly_once(self):
+    def test_each_puzzle_validated_exactly_once(self, monkeypatch):
         dataset = build_dataset(12, 0.1, 0)
         config = TrainConfig(epochs=1, folds=3)
         seen = []
         train_sizes = []
 
-        def stub_train(train_set, cfg, init_seed):
+        def sizing_train(train_set, cfg, init_seed):
             train_sizes.append(len(train_set))
-            return init_params(init_seed), [0.0] * cfg.epochs
+            return stub_train(train_set, cfg, init_seed)
 
-        def spy_predict(tensor, inst):
-            seen.append(format_grid(inst.puzzle))
-            return inst.solution
-
-        result = kfold_evaluate(dataset, config, train_fn=stub_train, predict_fn=spy_predict)
+        monkeypatch.setattr(training, "train", sizing_train)
+        monkeypatch.setattr(training, "postprocess", truth_postprocess(dataset, seen))
+        result = kfold_evaluate(dataset, config)
         assert len(result.folds) == 3
         assert train_sizes == [8, 8, 8]  # validation blocks of 4 each
         assert sorted(seen) == sorted(format_grid(inst.puzzle) for inst in dataset)
         assert len(set(seen)) == 12
 
-    def test_truth_stub_scores_one_with_zero_std(self):
+    def test_truth_stub_scores_one_with_zero_std(self, monkeypatch):
         dataset = build_dataset(12, 0.3, 1)
         config = TrainConfig(epochs=1, folds=3)
-
-        def stub_train(train_set, cfg, init_seed):
-            return init_params(init_seed), [0.0] * cfg.epochs
-
-        result = kfold_evaluate(
-            dataset, config,
-            train_fn=stub_train,
-            predict_fn=lambda tensor, inst: inst.solution,
-        )
+        monkeypatch.setattr(training, "train", stub_train)
+        monkeypatch.setattr(training, "postprocess", truth_postprocess(dataset))
+        result = kfold_evaluate(dataset, config)
         assert result.mean_all == 1.0
         assert result.std_all == 0.0
         assert result.mean_empty == 1.0
         assert result.std_empty == 0.0
 
-    def test_train_never_sees_validation_fold(self):
+    def test_train_never_sees_validation_fold(self, monkeypatch):
         dataset = build_dataset(9, 0.1, 2)
         config = TrainConfig(epochs=1, folds=3)
         fold_train_sets = []
@@ -237,12 +247,9 @@ class TestKFold:
             return init_params(0), [0.0] * cfg.epochs
 
         fold_val_sets = []
-
-        def spy_predict(tensor, inst):
-            fold_val_sets.append(format_grid(inst.puzzle))
-            return inst.solution
-
-        kfold_evaluate(dataset, config, train_fn=spy_train, predict_fn=spy_predict)
+        monkeypatch.setattr(training, "train", spy_train)
+        monkeypatch.setattr(training, "postprocess", truth_postprocess(dataset, fold_val_sets))
+        kfold_evaluate(dataset, config)
         assert len(fold_train_sets) == 3
         all_puzzles = {format_grid(i.puzzle) for i in dataset}
         vals_per_fold = [set(fold_val_sets[i * 3:(i + 1) * 3]) for i in range(3)]
@@ -251,15 +258,18 @@ class TestKFold:
             assert train_set | val_set == all_puzzles
 
     def test_input_order_does_not_change_result(self):
-        dataset = build_dataset(8, 0.1, 5)
         config = TrainConfig(epochs=2, folds=2)
-        r1 = kfold_evaluate(dataset, config)
-        r2 = kfold_evaluate(dataset[::-1], config)
-        assert r1.fingerprint == r2.fingerprint
-        assert r1.mean_all == r2.mean_all
-        assert [f.accuracy_all for f in r1.folds] == [f.accuracy_all for f in r2.folds]
+        distinct = build_dataset(8, 0.1, 5)
+        # a tie in canonical order: the same puzzle and solution, another seed
+        tied = distinct[:5] + [replace(distinct[0], seed=99)]
+        for dataset in (distinct, tied):
+            r1 = kfold_evaluate(dataset, config)
+            r2 = kfold_evaluate(dataset[::-1], config)
+            assert r1.fingerprint == r2.fingerprint
+            assert r1.mean_all == r2.mean_all
+            assert r1.folds == r2.folds
 
-    def test_mixed_difficulties_rejected_before_training(self):
+    def test_mixed_difficulties_rejected_before_training(self, monkeypatch):
         mixed = build_dataset(6, 0.1, 0) + build_dataset(6, 0.3, 10)
         trained = []
 
@@ -267,9 +277,10 @@ class TestKFold:
             trained.append(init_seed)
             return init_params(init_seed), [0.0] * cfg.epochs
 
+        monkeypatch.setattr(training, "train", spy_train)
         message = "dataset needs one difficulty, has [0.1, 0.3]"
         with pytest.raises(ValueError, match=re.escape(message)):
-            kfold_evaluate(mixed, TrainConfig(epochs=1, folds=3), train_fn=spy_train)
+            kfold_evaluate(mixed, TrainConfig(epochs=1, folds=3))
         assert trained == []
 
     def test_folds_exceeding_dataset_rejected(self):
@@ -289,19 +300,21 @@ class TestKFold:
         kfold_evaluate(build_dataset(12, 0.1, 0), TrainConfig(epochs=2, folds=3))
         assert len(calls) == 3 * 8 * 2 + 12  # each fold's training steps, then each validation puzzle
 
-    def test_greedy_empty_cells_score_as_wrong(self):
+    def test_greedy_empty_cells_score_as_wrong(self, monkeypatch):
         dataset = build_dataset(6, 0.6, 0)
         config = TrainConfig(epochs=2, folds=2, postprocess_mode=MODE_GREEDY)
+        unspied = kfold_evaluate(dataset, config)
         empty = []
 
-        def spy_predict(tensor, inst):
-            grid = training.postprocess(tensor, inst.puzzle, MODE_GREEDY)
+        def spy_postprocess(tensor, puzzle, mode):
+            grid = postprocess(tensor, puzzle, mode)
             empty.append(int((grid == 0).sum()))
             return grid
 
-        result = kfold_evaluate(dataset, config, predict_fn=spy_predict)
+        monkeypatch.setattr(training, "postprocess", spy_postprocess)
+        result = kfold_evaluate(dataset, config)
         assert sum(empty) > 0  # greedy left cells empty, and they scored
-        assert kfold_evaluate(dataset, config).mean_all == result.mean_all
+        assert unspied.mean_all == result.mean_all
         assert 0.0 < result.mean_empty < 1.0
 
     def test_history_recorded_per_fold(self):
@@ -571,6 +584,22 @@ class TestRunGrid:
         one_worker = grid()
         monkeypatch.setattr(training, "_pool_size", lambda n_cells: 2)
         assert grid() == one_worker
+
+    def test_replaced_train_and_postprocess_reach_the_workers(self, monkeypatch):
+        # history and accuracy travel back from the workers, so they show
+        # which train and postprocess the workers ran
+        datasets = [build_dataset(n, d, seed) for n, d in GRID_ROWS for seed in GRID_SEEDS]
+
+        def marking_train(train_set, cfg, init_seed):
+            return init_params(init_seed), [-1.0] * cfg.epochs
+
+        monkeypatch.setattr(training, "train", marking_train)
+        monkeypatch.setattr(training, "postprocess", truth_postprocess(sum(datasets, [])))
+        cells = list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
+        folds = [fold for c in cells for fold in c.folds]
+        assert len(folds) == len(cells) * GRID_RUN.folds
+        assert all(fold.history == [-1.0] * GRID_RUN.epochs for fold in folds)
+        assert all(c.mean_all == c.mean_empty == 1.0 for c in cells)
 
     def test_no_process_outlives_the_grid(self):
         list(run_grid(GRID_ROWS, GRID_SEEDS, GRID_ABLATIONS, GRID_RUN))
