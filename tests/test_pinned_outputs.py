@@ -11,7 +11,9 @@ moves an output on purpose updates its digest here and says why in
 
 The ``table1`` case is the ``ablation-grid`` benchmark's argv.  ``solve``
 and ``eval`` run all three post-processing modes on 0.6 puzzles, so
-``hybrid-complete`` completes grids through the logic engine.
+``hybrid-complete`` completes grids through the logic engine.  The
+``solve-*-render`` cases pin the comparison grid without colors, and the
+``solve-*-render-svg`` cases pin it with ANSI colors and as an SVG.
 """
 
 import contextlib
@@ -41,6 +43,9 @@ for _mode in POSTPROCESS_MODES:
                                   "--postprocess-mode", _mode]
     COMMANDS[f"solve-{_mode}-render"] = [*COMMANDS[f"solve-{_mode}"], "--solution", "{solution}",
                                          "--render", "--no-color"]
+    COMMANDS[f"solve-{_mode}-render-svg"] = [*COMMANDS[f"solve-{_mode}"], "--solution",
+                                             "{solution}", "--render", "--render-svg",
+                                             "{out}/grid.svg"]
 
 DIGESTS = {
     "eval-argmax": {
@@ -65,17 +70,29 @@ DIGESTS = {
     "solve-argmax-render": {
         "stdout": "d036cc0413ee3ba663795e646e997f90ee2f46b251c09757f2a5188c001dac6d",
     },
+    "solve-argmax-render-svg": {
+        "grid.svg": "46b4f35d3165a1debe7fc5f0367dce59c776b81fcb81feea37f2d04c85c3b8e9",
+        "stdout": "2142f799b3f3ad0cf3e133ff4ad36a608b01192310dad748cf144b18654d5cf2",
+    },
     "solve-greedy-constrained": {
         "stdout": "57e8d01db65ca1dbcb7c9edeefd753c68f5894540ea65978cf04a9347bd08839",
     },
     "solve-greedy-constrained-render": {
         "stdout": "815832c6577afaaf5a93c4bdbdf887a45b40698be6e7ef6151c487c06598af7f",
     },
+    "solve-greedy-constrained-render-svg": {
+        "grid.svg": "223ae75c94f6d036102a9a3df605753ef741c5747a9eaeae320ff208bd61f964",
+        "stdout": "720c1d896423ddb3eddfe93c2c28b0545e057b553a20fddf425758621ddf4fa6",
+    },
     "solve-hybrid-complete": {
         "stdout": "38f349e8404e1b097ccf86d43e405bf66839cbf19cb860bc9c432ca0570435f0",
     },
     "solve-hybrid-complete-render": {
         "stdout": "1072e69969f5f4080abda1a7ee185f1a1f62f33d9905b8265a1b1c5cfbb388d6",
+    },
+    "solve-hybrid-complete-render-svg": {
+        "grid.svg": "b5689a7c1e887a24cfc2a6deeb98ae3725386c6df3637c0633d6c64322a07905",
+        "stdout": "8b31621861f7a75555dac3bb6bd60c2e5a1dc2151525e7b6d93731b93fa196db",
     },
     "table1": {
         "accuracy_12.svg": "97978b3f6ec67949bb59d5b42f010fda7a9bffa4a0104c84eff51886f01d55ea",
@@ -94,12 +111,13 @@ def run_command(name, fields):
     each file in its directory."""
     tmp = fields["tmp"]
     out = tmp / name
+    out.mkdir()
     argv = [arg.format(out=out, **fields) for arg in COMMANDS[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
     outputs = {"stdout": stdout.getvalue().replace(str(tmp), "TMP").encode("utf-8")}
-    for path in sorted(out.iterdir()) if out.exists() else []:
+    for path in sorted(out.iterdir()):
         outputs[path.name] = path.read_bytes()
     return {output: hashlib.sha256(data).hexdigest() for output, data in outputs.items()}
 
