@@ -3,7 +3,7 @@
 # held-out puzzle with the trained model under the three post-processing
 # modes.
 
-from neurosudoku.charts import grid_to_text, render_prediction
+from neurosudoku.charts import grid_to_text
 from neurosudoku.grids import cell_accuracy, format_grid
 from neurosudoku.losses import ablation_config
 from neurosudoku.training import (
@@ -42,6 +42,5 @@ for mode in ("argmax", "greedy-constrained", "hybrid-complete"):
 # Figure-style comparison: given cells plain, predicted cells colored by
 # correctness (green correct / red wrong on a color terminal).
 predicted = solve_with_model(params, holdout.puzzle, "argmax")
-rendered = render_prediction(predicted, holdout.solution, holdout.mask)
 print("\nargmax prediction vs truth:")
-print(grid_to_text(rendered))
+print(grid_to_text(predicted, holdout.solution, holdout.mask))

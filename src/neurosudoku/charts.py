@@ -1,14 +1,14 @@
 """Self-contained SVG charts and prediction rendering.
 
-No plotting dependency: charts are built as SVG strings directly.  The grid
-renderer marks each cell as given, predicted-correct, or predicted-wrong so
-a prediction can be compared against the reference solution at a glance,
-either with terminal colors or as an SVG.
+No plotting dependency: charts are built as SVG strings directly.
+``cell_status`` compares a prediction with its solution, marking each cell
+as given, predicted-correct or predicted-wrong; ``grid_to_text`` (terminal
+colors) and ``grid_to_svg`` take the same three grids and draw that
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from xml.sax.saxutils import escape as _xml_escape
 
 import numpy as np
@@ -39,35 +39,28 @@ _FILL = {
 SERIES_COLORS = ("#4878cf", "#ee854a", "#6acc65", "#d65f5f", "#956cb4", "#8c613c")
 
 
-@dataclass
-class RenderedGrid:
-    """A predicted grid plus a per-cell comparison status."""
-
-    grid: np.ndarray
-    status: list  # 9x9 nested lists of STATUS_* strings
-
-
-def render_prediction(predicted, solution, mask) -> RenderedGrid:
-    """Classify every cell: given cells pass through, predicted cells are
-    marked correct or wrong against the solution."""
+def cell_status(predicted, solution, mask) -> list:
+    """9x9 nested lists of STATUS_* strings: given cells pass through,
+    predicted cells are marked correct or wrong against the solution."""
     predicted = as_grid(predicted)
     solution = as_grid(solution)
     mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
     status = np.where(mask, np.where(predicted == solution, STATUS_CORRECT, STATUS_WRONG),
                       STATUS_GIVEN)
-    return RenderedGrid(grid=predicted, status=status.tolist())
+    return status.tolist()
 
 
-def grid_to_text(rendered: RenderedGrid, color: bool = True) -> str:
+def grid_to_text(predicted, solution, mask, color: bool = True) -> str:
     """Terminal rendering; predicted cells are green (correct) or red (wrong)."""
+    grid, status = as_grid(predicted), cell_status(predicted, solution, mask)
     lines = []
     for i in range(GRID_SIZE):
         parts = []
         for j in range(GRID_SIZE):
-            v = int(rendered.grid[i, j])
+            v = int(grid[i, j])
             ch = "." if v == 0 else str(v)
             if color:
-                pre, post = _ANSI[rendered.status[i][j]]
+                pre, post = _ANSI[status[i][j]]
                 ch = f"{pre}{ch}{post}"
             parts.append(ch)
             if j in (2, 5):
@@ -78,8 +71,9 @@ def grid_to_text(rendered: RenderedGrid, color: bool = True) -> str:
     return "\n".join(lines)
 
 
-def grid_to_svg(rendered: RenderedGrid) -> str:
+def grid_to_svg(predicted, solution, mask) -> str:
     """SVG rendering with status-colored cell backgrounds."""
+    grid, status = as_grid(predicted), cell_status(predicted, solution, mask)
     cell = 36  # pixels per Sudoku cell
     size = GRID_SIZE * cell
     parts = [
@@ -89,13 +83,12 @@ def grid_to_svg(rendered: RenderedGrid) -> str:
     ]
     for i in range(GRID_SIZE):
         for j in range(GRID_SIZE):
-            fill = _FILL[rendered.status[i][j]]
             parts.append(
-                f'<rect class="cell" data-status="{rendered.status[i][j]}" '
+                f'<rect class="cell" data-status="{status[i][j]}" '
                 f'x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
-                f'fill="{fill}" stroke="#999" stroke-width="1"/>'
+                f'fill="{_FILL[status[i][j]]}" stroke="#999" stroke-width="1"/>'
             )
-            v = int(rendered.grid[i, j])
+            v = int(grid[i, j])
             if v:
                 parts.append(
                     f'<text x="{j * cell + cell / 2}" y="{i * cell + cell * 0.7}" '

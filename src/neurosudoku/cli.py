@@ -199,14 +199,13 @@ def cmd_solve(args, settings: dict) -> int:
     if solution is None:
         return 0
     mask = puzzle == 0
-    rendered = charts.render_prediction(predicted, solution, mask)
     if args.render:
-        print(charts.grid_to_text(rendered, color=not args.no_color))
-        correct = int((predicted == solution)[mask].sum())
-        print(f"predicted cells correct: {correct}/{int(mask.sum())}")
+        print(charts.grid_to_text(predicted, solution, mask, color=not args.no_color))
+    correct = int((predicted == solution)[mask].sum())
+    print(f"predicted cells correct: {correct}/{int(mask.sum())}")
     if args.render_svg:
         with open(args.render_svg, "w", encoding="utf-8") as fh:
-            fh.write(charts.grid_to_svg(rendered))
+            fh.write(charts.grid_to_svg(predicted, solution, mask))
         print(f"rendering: {args.render_svg}")
     return 0
 

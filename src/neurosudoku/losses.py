@@ -96,12 +96,6 @@ def ablation_config(label: str, constraint_mode: str = MODE_SOLUTION_CONSISTENT)
         ) from None
 
 
-def _true_cell_probs(pred: np.ndarray, target: np.ndarray):
-    rows = np.arange(GRID_SIZE)[:, None]
-    cols = np.arange(GRID_SIZE)[None, :]
-    return rows, cols, pred[rows, cols, target - 1]
-
-
 def standard_loss(pred: np.ndarray, target) -> float:
     """Mean over the 81 cells of -log(probability of the true digit)."""
     return standard_loss_grad(pred, target)[0]
@@ -109,7 +103,9 @@ def standard_loss(pred: np.ndarray, target) -> float:
 
 def standard_loss_grad(pred: np.ndarray, target):
     target = as_grid(target)
-    rows, cols, p_true = _true_cell_probs(pred, target)
+    rows = np.arange(GRID_SIZE)[:, None]
+    cols = np.arange(GRID_SIZE)[None, :]
+    p_true = pred[rows, cols, target - 1]
     clamped = np.maximum(p_true, PROB_CLAMP)
     loss = float(-np.log(clamped).sum() / N_CELLS)
     d_true = np.where(p_true >= PROB_CLAMP, -1.0 / (N_CELLS * clamped), 0.0)

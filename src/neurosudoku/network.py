@@ -15,9 +15,10 @@ correction folded into two scalars (Kingma & Ba 2015, section 2): at step t
 the parameters move by ``lr_t * m / (sqrt(v) + eps_t)`` with
 ``lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)`` and
 ``eps_t = eps * sqrt(1 - beta2^t)``, which equals the textbook
-``lr * m_hat / (sqrt(v_hat) + eps)`` up to rounding.  A step allocates no
-parameter-sized array: every intermediate goes through one scratch buffer
-owned by the optimizer state.
+``lr * m_hat / (sqrt(v_hat) + eps)`` up to rounding.  ``AdamState(lr)``
+owns the moments and one scratch buffer, flat arrays laid out like
+``ModelParams.data``; a step allocates no parameter-sized array, as every
+intermediate goes through the scratch buffer.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class ModelParams:
 
     ``W1`` (64, 81), ``b1`` (64,), ``W2`` (729, 64) and ``b2`` (729,) are
     views into the buffer, in that order; assigning one of them writes into
-    the buffer.  The same container is reused for anything parameter-shaped:
-    gradients and Adam moment accumulators.
+    the buffer.  The same container holds the parameters' gradients.
     """
 
     W1 = _param_view("W1")
@@ -93,9 +93,6 @@ class ModelParams:
         if data.shape != (N_PARAMS,) or data.dtype != np.float64:
             raise ValueError(f"parameter buffer must be float64 of shape ({N_PARAMS},)")
         self.data = data
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.data.copy())
 
     def all_finite(self) -> bool:
         # min and max propagate NaN; two reductions allocate nothing
@@ -184,24 +181,21 @@ def decode_prediction(tensor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, step count and learning rate, plus the
-    scratch buffer every update works in."""
+    """Learning rate and step count, the moment accumulators ``m`` and
+    ``v`` as flat buffers laid out like ``ModelParams.data`` (zero at
+    ``AdamState(lr)``), and the scratch buffer every update works in."""
 
-    m: ModelParams
-    v: ModelParams
     lr: float
     timestep: int = 0
+    m: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS), repr=False)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(N_PARAMS), repr=False)
     scratch: np.ndarray = field(default_factory=lambda: np.empty(N_PARAMS), repr=False)
-
-
-def init_adam(lr: float) -> AdamState:
-    return AdamState(m=zeros_params(), v=zeros_params(), lr=lr)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
     """One bias-corrected Adam update, in place.
 
-    Writes ``params.data``, ``state.m.data``, ``state.v.data`` (and
+    Writes ``params.data``, ``state.m``, ``state.v`` (and
     ``state.scratch``) and increments ``state.timestep``; ``grads`` is only
     read.  Raises NumericOverflowError, before writing anything, if the
     gradient holds a NaN or an infinity.
@@ -216,7 +210,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None
     root = math.sqrt(1.0 - ADAM_BETA2 ** t)
     step = state.lr * root / (1.0 - ADAM_BETA1 ** t)
     eps_hat = ADAM_EPSILON * root
-    g, m, v, s = grads.data, state.m.data, state.v.data, state.scratch
+    g, m, v, s = grads.data, state.m, state.v, state.scratch
     # m = beta1*m + (1-beta1)*g
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=s)

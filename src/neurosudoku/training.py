@@ -47,13 +47,13 @@ from .losses import (
     combined_loss_grad,
 )
 from .network import (
+    AdamState,
     ModelParams,
     adam_step,
     backward,
     decode_prediction,
     encode_input,
     forward,
-    init_adam,
     init_params,
     zeros_params,
 )
@@ -295,7 +295,7 @@ def train(dataset, config: TrainConfig, init_seed: int):
     if not dataset:
         raise ValueError("dataset must be nonempty")
     params = init_params(init_seed)
-    state = init_adam(config.lr)
+    state = AdamState(config.lr)
     grads = zeros_params()  # backward writes every step's gradient here
     inputs = [encode_input(inst.puzzle) for inst in dataset]
     history = []

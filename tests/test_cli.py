@@ -5,11 +5,14 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import neurosudoku
 from neurosudoku.charts import grid_charts
 from neurosudoku.cli import build_parser, main
 from neurosudoku.engine import PROGRAM_RULES
@@ -24,6 +27,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_import_loads_no_process_pool():
+    # table1 imports its pool lazily, keeping about 10 ms off every command's start
+    probe = ("import sys, neurosudoku.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(neurosudoku.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -541,6 +556,16 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "predicted cells correct:" in out
 
+    def test_solution_alone_prints_the_count(self, model_file, solved_grid, capsys):
+        puzzle = solved_grid.copy()
+        puzzle[0, :3] = 0
+        code = run_cli("solve", "--model", model_file, format_grid(puzzle),
+                       "--solution", format_grid(solved_grid))
+        assert code == 0
+        grid_line, count_line = capsys.readouterr().out.splitlines()
+        correct = int((parse_grid(grid_line) == solved_grid)[0, :3].sum())
+        assert count_line == f"predicted cells correct: {correct}/3"
+
     def test_render_svg_written(self, model_file, solved_grid, tmp_path):
         puzzle = solved_grid.copy()
         puzzle[0, :3] = 0
@@ -788,21 +813,17 @@ class TestCharts:
 
 class TestRendering:
     def test_status_given_iff_cell_not_masked(self, solved_grid):
-        from neurosudoku.charts import STATUS_GIVEN, render_prediction
+        from neurosudoku.charts import STATUS_GIVEN, cell_status
         from neurosudoku.engine import mask_puzzle
 
         inst = mask_puzzle(solved_grid, 0.3, 9)
-        rendered = render_prediction(solved_grid, inst.solution, inst.mask)
+        status = cell_status(solved_grid, inst.solution, inst.mask)
         for i in range(9):
             for j in range(9):
-                assert (rendered.status[i][j] == STATUS_GIVEN) == (not inst.mask[i, j])
+                assert (status[i][j] == STATUS_GIVEN) == (not inst.mask[i, j])
 
     def test_correct_and_wrong_cells_marked(self, solved_grid):
-        from neurosudoku.charts import (
-            STATUS_CORRECT,
-            STATUS_WRONG,
-            render_prediction,
-        )
+        from neurosudoku.charts import STATUS_CORRECT, STATUS_WRONG, cell_status
         from neurosudoku.engine import mask_puzzle
 
         inst = mask_puzzle(solved_grid, 0.3, 9)
@@ -810,10 +831,10 @@ class TestRendering:
         masked_cells = np.argwhere(inst.mask)
         wrong_i, wrong_j = masked_cells[0]
         predicted[wrong_i, wrong_j] = predicted[wrong_i, wrong_j] % 9 + 1
-        rendered = render_prediction(predicted, inst.solution, inst.mask)
-        assert rendered.status[wrong_i][wrong_j] == STATUS_WRONG
+        status = cell_status(predicted, inst.solution, inst.mask)
+        assert status[wrong_i][wrong_j] == STATUS_WRONG
         ok_i, ok_j = masked_cells[1]
-        assert rendered.status[ok_i][ok_j] == STATUS_CORRECT
+        assert status[ok_i][ok_j] == STATUS_CORRECT
 
 
 class TestExportAsp:

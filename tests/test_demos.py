@@ -35,6 +35,21 @@ def test_demos_found():
     assert len(DEMOS) == 4
 
 
+def test_readme_demo_lines_name_each_demo_once():
+    # split on whitespace, not with shlex: a shell keeps a "#" inside a word,
+    # as in "tour.py#", while shlex would read it as a comment
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Demos", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    named = []
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "python" and words[1].startswith("demos/"), line
+        assert len(words) == 2 or words[2] == "#", f"no space before the comment: {line}"
+        named.append(words[1].removeprefix("demos/"))
+    assert sorted(named) == [os.path.basename(path) for path in DEMOS]
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path):
     env = dict(os.environ)

@@ -25,13 +25,13 @@ from neurosudoku.losses import (
     combined_loss_grad,
 )
 from neurosudoku.network import (
+    AdamState,
     N_PARAMS,
     PARAM_FIELDS,
     adam_step,
     backward,
     encode_input,
     forward,
-    init_adam,
     init_params,
     zeros_params,
 )
@@ -125,7 +125,7 @@ class TestTrain:
         assert len(history) == 1
 
         expected = init_params(4)
-        state = init_adam(config.lr)
+        state = AdamState(config.lr)
         x = encode_input(dataset[0].puzzle)
         tensor, cache = forward(expected, x)
         _, d_tensor = combined_loss_grad(tensor, dataset[0], config.loss)
