@@ -193,6 +193,8 @@ def cmd_solve(args, settings: dict) -> int:
             raise ValueError(f"bad --solution: {exc}") from None
     elif args.render or args.render_svg:
         raise ValueError("--render and --render-svg need --solution to compare against")
+    if args.no_color and not args.render:
+        raise ValueError("--no-color needs --render, whose colors it turns off")
     params, _ = network.load_params(args.model)
     predicted = training.solve_with_model(params, puzzle, mode)
     print(grids.format_grid(predicted))
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a colored comparison grid (needs --solution)")
     p.add_argument("--render-svg", default=None,
                    help="write a comparison SVG (needs --solution)")
-    p.add_argument("--no-color", action="store_true", help="disable ANSI colors")
+    p.add_argument("--no-color", action="store_true", help="disable --render's ANSI colors")
 
     p = subcommand("export-asp", cmd_export_asp, ("--out",),
                    help="write the puzzle's logic program")

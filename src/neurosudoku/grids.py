@@ -84,23 +84,25 @@ def cell_accuracy(predicted, truth, mask) -> tuple:
     empty-cells).
 
     All-cells counts all 81 cells; empty-cells counts only cells that were
-    empty in the puzzle (mask true), and scores 1.0 by convention when no
-    cell is masked.  A cell the prediction leaves empty (0), as greedy
-    post-processing may, counts as wrong.
+    empty in the puzzle (mask true), of which every instance has at least one
+    (``masked_cell_count``).  A cell the prediction leaves empty (0), as
+    greedy post-processing may, counts as wrong.
     """
     matches = as_grid(predicted) == as_grid(truth)
     mask = np.asarray(mask, dtype=bool).reshape(GRID_SIZE, GRID_SIZE)
-    n_masked = int(mask.sum())
-    empty = float(matches[mask].sum() / n_masked) if n_masked else 1.0
-    return float(matches.mean()), empty
+    return float(matches.mean()), float(matches[mask].mean())
 
 
 def masked_cell_count(difficulty: float) -> int:
     """Number of cells emptied at a difficulty: round-half-up of 81*difficulty.
-    ValueError for a difficulty outside (0, 1)."""
+    ValueError for a difficulty outside (0, 1) or below 1/162, which would
+    empty no cell."""
     if not 0.0 < difficulty < 1.0:
         raise ValueError(f"difficulty must be in (0,1), got {difficulty}")
-    return int(math.floor(N_CELLS * difficulty + 0.5))
+    count = int(math.floor(N_CELLS * difficulty + 0.5))
+    if count == 0:
+        raise ValueError(f"difficulty must be in (0,1) and at least 1/162, got {difficulty}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,7 @@ def dataset_difficulty(dataset) -> float:
     return difficulties[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # adam_step raises on a non-finite gradient
 def train(dataset, config: TrainConfig, init_seed: int):
     """Train a fresh model on the dataset.
 
@@ -373,50 +374,49 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     return grid
 
 
-def kfold_evaluate(dataset, config: TrainConfig) -> ExperimentResult:
-    """K-fold cross-validation with a fresh model per fold.
+def fold_splits(dataset, folds: int, seed: int):
+    """The (train set, validation set) of each of ``folds`` folds.
 
     The dataset is put in canonical order, that of its fingerprint's lines,
-    and then shuffled by the config seed, so results do not depend on input
-    order.  Each fold trains on the other folds only (``train`` with init
-    seed = config.seed + fold index) and validates on its own block;
-    accuracies are reported in both scopes.
+    shuffled by ``seed`` and cut into ``folds`` blocks whose sizes differ by
+    at most one, so the splits do not depend on input order.  Fold f
+    validates on block f and trains on the other blocks, in block order.
+    """
+    canon = sorted(dataset, key=_canonical_line)
+    blocks = np.array_split(np.random.default_rng(seed).permutation(len(canon)), folds)
+    return [([canon[i] for j, other in enumerate(blocks) if j != fold for i in other],
+             [canon[i] for i in block]) for fold, block in enumerate(blocks)]
+
+
+def evaluate_fold(train_set, val_set, config: TrainConfig, fold: int) -> FoldResult:
+    """Train a fresh model on ``train_set`` (init seed = config.seed + fold)
+    and score it on ``val_set``, in both accuracy scopes.
 
     One forward pass per validation puzzle gives both its validation loss
     and, through ``postprocess`` in the configured mode, its prediction.
-    ValueError before training for a dataset without one difficulty or with
-    fewer puzzles than folds.
     """
+    params, history = train(train_set, config, config.seed + fold)
+    scores, parts = [], []
+    for inst in val_set:
+        tensor, _ = forward(params, encode_input(inst.puzzle))
+        predicted = postprocess(tensor, inst.puzzle, config.postprocess_mode)
+        scores.append(cell_accuracy(predicted, inst.solution, inst.mask))
+        parts.append(combined_loss(tensor, inst, config.loss))
+    acc_all, acc_empty = zip(*scores)
+    val_loss = LossBreakdown(*(float(np.mean(column)) for column in zip(*map(astuple, parts))))
+    return FoldResult(fold, float(np.mean(acc_all)), float(np.mean(acc_empty)), val_loss, history)
+
+
+def kfold_evaluate(dataset, config: TrainConfig) -> ExperimentResult:
+    """K-fold cross-validation: ``evaluate_fold`` on each of ``fold_splits``.
+    ValueError before training for a dataset without one difficulty or with
+    fewer puzzles than folds."""
     difficulty = dataset_difficulty(dataset)
-    n = len(dataset)
-    if config.folds > n:
-        raise ValueError(f"dataset has {n} puzzles, fewer than folds={config.folds}")
-    canon = sorted(dataset, key=_canonical_line)
-    perm = np.random.default_rng(config.seed).permutation(n)
-    blocks = np.array_split(perm, config.folds)
-    fold_results = []
-    for fold_idx in range(config.folds):
-        val_idx = blocks[fold_idx]
-        train_idx = [i for j, b in enumerate(blocks) if j != fold_idx for i in b]
-        train_set = [canon[i] for i in train_idx]
-        val_set = [canon[i] for i in val_idx]
-        params, history = train(train_set, config, config.seed + fold_idx)
-        scores, parts = [], []
-        for inst in val_set:
-            tensor, _ = forward(params, encode_input(inst.puzzle))
-            predicted = postprocess(tensor, inst.puzzle, config.postprocess_mode)
-            scores.append(cell_accuracy(predicted, inst.solution, inst.mask))
-            parts.append(combined_loss(tensor, inst, config.loss))
-        acc_all, acc_empty = zip(*scores)
-        val_loss = LossBreakdown(*(float(np.mean(column)) for column in zip(*map(astuple, parts))))
-        fold_results.append(FoldResult(
-            fold=fold_idx,
-            accuracy_all=float(np.mean(acc_all)),
-            accuracy_empty=float(np.mean(acc_empty)),
-            val_loss=val_loss,
-            history=history,
-        ))
-    return ExperimentResult(n, difficulty, config, fold_results, dataset_fingerprint(dataset))
+    if config.folds > len(dataset):
+        raise ValueError(f"dataset has {len(dataset)} puzzles, fewer than folds={config.folds}")
+    folds = [evaluate_fold(train_set, val_set, config, fold) for fold, (train_set, val_set)
+             in enumerate(fold_splits(dataset, config.folds, config.seed))]
+    return ExperimentResult(len(dataset), difficulty, config, folds, dataset_fingerprint(dataset))
 
 
 CSV_COLUMNS = [

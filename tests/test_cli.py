@@ -29,16 +29,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def fresh_python(*args):
+    """``python args`` in a new interpreter that imports this package and
+    keeps Python's default warning filters."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    src = os.path.dirname(os.path.dirname(neurosudoku.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_import_loads_no_process_pool():
     # table1 imports its pool lazily, keeping about 10 ms off every command's start
     probe = ("import sys, neurosudoku.cli; "
              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(neurosudoku.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -74,6 +80,14 @@ class TestGen:
         code = run_cli("gen", "--difficulty", "1.5", "--data-out", str(tmp_path / "d.jsonl"))
         assert code == 2
         assert "difficulty" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_difficulty_that_masks_no_cell_exits_2(self, tmp_path, capsys):
+        # 81 * 0.006 rounds to 0: the puzzles would be full grids
+        code = run_cli("gen", "--difficulty", "0.006", "--n", "2",
+                       "--data-out", str(tmp_path / "d.jsonl"))
+        assert code == 2
+        assert "at least 1/162, got 0.006" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -281,6 +295,18 @@ class TestTrainEval:
         assert run_cli("train", "--data", str(data), "--model-out", str(model)) == 1
         assert "NumericOverflowError: numeric overflow" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_diverging_run_exits_1_with_one_line(self, tmp_path):
+        # a fresh interpreter, whose default filters would print each numpy warning
+        data = tmp_path / "data.jsonl"
+        run_cli("gen", "--n", "2", "--data-out", str(data))
+        proc = fresh_python("-m", "neurosudoku.cli", "train", "--data", str(data), "--epochs", "2",
+                            "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308",
+                            "--model-out", str(tmp_path / "model.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: NumericOverflowError: numeric overflow: non-finite gradient"]
+        assert not (tmp_path / "model.json").exists()
 
     def test_every_documented_config_key_accepted(self, tmp_path):
         from neurosudoku.cli import CONFIG_KEYS
@@ -582,6 +608,7 @@ class TestSolve:
     @pytest.mark.parametrize("case", [
         "render-without-solution", "render-svg-without-solution", "solution-80-characters",
         "solution-incomplete", "solution-disagrees-with-givens", "unknown-postprocess-mode",
+        "no-color-without-render",
     ])
     def test_usage_errors_exit_2_before_the_model_is_read(self, solved_grid, tmp_path, capsys,
                                                           case):
@@ -598,6 +625,7 @@ class TestSolve:
             # a digit relabeling: a valid complete grid that differs in every cell
             "solution-disagrees-with-givens": ["--solution", format_grid(solved_grid % 9 + 1)],
             "unknown-postprocess-mode": ["--config", str(config)],
+            "no-color-without-render": ["--solution", format_grid(solved_grid), "--no-color"],
         }[case]
         # the model file does not exist: reading it would exit 1
         code = run_cli("solve", "--model", str(tmp_path / "missing.json"), format_grid(puzzle),

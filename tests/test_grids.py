@@ -139,6 +139,7 @@ class TestCellAccuracy:
         pred = solved_grid.copy()
         pred[2, 2] = pred[2, 2] % 9 + 1
         mask = np.zeros(81, dtype=bool)
+        mask[0] = True
         assert cell_accuracy(pred, solved_grid, mask)[0] == pytest.approx(80 / 81)
 
     def test_empty_scope_counts_only_masked(self, solved_grid):
@@ -150,9 +151,6 @@ class TestCellAccuracy:
         for i, j in masked_cells[:2]:  # wrong on 2 of the 8
             pred[i, j] = pred[i, j] % 9 + 1
         assert cell_accuracy(pred, solved_grid, mask)[1] == pytest.approx(0.75)
-
-    def test_empty_scope_with_no_masked_cells(self, solved_grid):
-        assert cell_accuracy(solved_grid, solved_grid, np.zeros(81, bool))[1] == 1.0
 
     def test_empty_predicted_cell_counts_as_wrong(self, solved_grid):
         pred = solved_grid.copy()
@@ -174,6 +172,7 @@ class TestMaskedCellCount:
 
     def test_rounds_half_up(self):
         assert masked_cell_count(0.5) == 41  # 40.5 rounds up
+        assert masked_cell_count(1 / 162) == 1  # 0.5 rounds up: the least that masks a cell
 
 
 class TestTextFormat:
@@ -234,7 +233,7 @@ class TestPuzzleInstance:
         with pytest.raises(ValueError, match="mask count"):
             PuzzleInstance(inst.puzzle, inst.solution, 0.6, inst.seed).validate()
 
-    @pytest.mark.parametrize("difficulty", [0.0, 1.0, -0.3, float("inf"), float("nan")])
+    @pytest.mark.parametrize("difficulty", [0.0, 0.006, 1.0, -0.3, float("inf"), float("nan")])
     def test_difficulty_outside_the_unit_interval_rejected(self, solved_grid, difficulty):
         inst = mask_puzzle(solved_grid, 0.3, 5)
         for call in (lambda: masked_cell_count(difficulty),

@@ -47,6 +47,7 @@ from neurosudoku.training import (
     TrainConfig,
     build_dataset,
     dataset_fingerprint,
+    fold_splits,
     kfold_evaluate,
     load_dataset,
     postprocess,
@@ -205,6 +206,33 @@ def truth_postprocess(dataset, seen=None):
 
 def stub_train(train_set, cfg, init_seed):
     return init_params(init_seed), [0.0] * cfg.epochs
+
+
+@pytest.fixture(scope="module")
+def split_pool():
+    return build_dataset(20, 0.1, 0)
+
+
+class TestFoldSplits:
+    @settings(max_examples=60, deadline=None)
+    @given(folds=st.integers(2, 6), extra=st.integers(0, 14), seed=st.integers(0, 2**64))
+    def test_validation_blocks_partition_the_dataset_in_any_order(self, split_pool, folds,
+                                                                   extra, seed):
+        dataset = split_pool[:folds + extra]
+
+        def ids(split):  # each set's instances, as the dataset's own objects
+            return [([id(i) for i in train_set], [id(i) for i in val_set])
+                    for train_set, val_set in split]
+
+        splits = ids(fold_splits(dataset, folds, seed))
+        all_ids = sorted(id(i) for i in dataset)
+        assert len(splits) == folds
+        assert sorted(i for _, val_ids in splits for i in val_ids) == all_ids
+        sizes = [len(val_ids) for _, val_ids in splits]
+        assert max(sizes) - min(sizes) <= 1
+        for train_ids, val_ids in splits:
+            assert sorted(train_ids) == sorted(set(all_ids) - set(val_ids))
+        assert ids(fold_splits(dataset[::-1], folds, seed)) == splits
 
 
 class TestKFold:
