@@ -14,6 +14,11 @@ and ``eval`` run all three post-processing modes on 0.6 puzzles, so
 ``hybrid-complete`` completes grids through the logic engine.  The
 ``solve-*-render`` cases pin the comparison grid without colors, and the
 ``solve-*-render-svg`` cases pin it with ANSI colors and as an SVG.
+
+``test_solve_with_model_batch_is_pinned`` pins ``solve_with_model`` itself
+on 60 held-out puzzles, 20 each at 0.3, 0.6 and 0.8, in every mode, with a
+model trained for 5 epochs.  Greedy leaves empty cells in most of them, so
+``hybrid-complete`` reaches the logic engine there.
 """
 
 import contextlib
@@ -24,7 +29,10 @@ import json
 import pytest
 
 from neurosudoku.cli import main
-from neurosudoku.training import POSTPROCESS_MODES
+from neurosudoku.engine import generate_solved, mask_puzzle
+from neurosudoku.grids import format_grid
+from neurosudoku.training import (POSTPROCESS_MODES, TrainConfig, build_dataset,
+                                  solve_with_model, train)
 
 ABLATIONS = "standard-only,standard+expert,standard+constraints,all-combined"
 
@@ -105,6 +113,9 @@ DIGESTS = {
     },
 }
 
+# sha256 of the batch's predicted grids, one format_grid line each, mode by mode
+BATCH_DIGEST = "143621622d02e9b026a587de7ab0cf35658036f3bebed5929deeac265a05da8a"
+
 
 def run_command(name, fields):
     """Run one command; returns {output name: sha256} of its stdout and of
@@ -144,3 +155,12 @@ def test_output_bytes_are_pinned(shared, name):
     assert sorted(digests) == sorted(expected), f"{name} wrote {sorted(digests)}"
     changed = [output for output in sorted(expected) if digests[output] != expected[output]]
     assert not changed, f"{name}: bytes changed in {', '.join(changed)}"
+
+
+def test_solve_with_model_batch_is_pinned():
+    params, _ = train(build_dataset(12, 0.3, 0), TrainConfig(epochs=5), init_seed=0)
+    puzzles = [mask_puzzle(generate_solved(seed), difficulty, seed).puzzle
+               for difficulty in (0.3, 0.6, 0.8) for seed in range(5000, 5020)]
+    lines = [format_grid(solve_with_model(params, puzzle, mode))
+             for mode in POSTPROCESS_MODES for puzzle in puzzles]
+    assert hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest() == BATCH_DIGEST
