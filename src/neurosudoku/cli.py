@@ -15,8 +15,8 @@ this module parses text and checks only that a puzzle argument's givens do
 not clash.  Exit code 0 iff all requested work
 succeeded; a flag the subcommand does not read and every ``ValueError``
 (the library's type for bad input) exit 2; a file that cannot be read or
-written (``OSError``, whose message names the path) and other runtime
-failures exit 1.
+written (``OSError``, whose message names the path), a numeric overflow
+(``NumericOverflowError``) and other runtime failures exit 1.
 """
 
 from __future__ import annotations
@@ -337,6 +337,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except OSError as exc:  # a file that cannot be read or written; the message names it
         return _fail(str(exc))
+    except network.NumericOverflowError as exc:  # a diverging run
+        return _fail(f"NumericOverflowError: {exc}")
     except Exception as exc:  # last-resort: report, nonzero exit
         return _fail(f"{type(exc).__name__}: {exc}")
 

@@ -29,8 +29,10 @@ several.
 
 Digit sets are 9-bit masks, bit d-1 for digit d; ``SET_BITS[mask]`` lists
 a mask's digit indices, ascending.  The root state is seeded from the
-givens' ``unit_masks``, the digits placed in each of the 27 units, which
-the greedy post-processing of ``training`` starts from too.  A digit given
+givens' ``unit_masks``, the digits placed in each of the 27 units (one
+numpy gather of the cells' digit bits over ``UNITS`` and an OR along each
+unit), which the greedy post-processing of ``training`` starts from too;
+its hybrid mode calls ``solve`` at greedy's first stuck cell.  A digit given
 twice in a unit fails, and each empty cell starts with the digits that its
 row, column and box lack, failing if none is left.  Only the empty cells
 left with a single candidate are then assigned, cascading as in the
@@ -178,9 +180,7 @@ def _pick_cell(cands: list) -> int:
 
 
 def _cands_to_grid(cands: list) -> np.ndarray:
-    return np.array(
-        [c.bit_length() for c in cands], dtype=np.int64
-    ).reshape(GRID_SIZE, GRID_SIZE)
+    return np.fromiter(map(int.bit_length, cands), np.int64, N_CELLS).reshape(GRID_SIZE, GRID_SIZE)
 
 
 def _search(cands, out, limit, stats, order) -> bool:
@@ -203,18 +203,15 @@ def _search(cands, out, limit, stats, order) -> bool:
     return True
 
 
-def unit_masks(values) -> list:
-    """The digits placed in each of the 27 units, as 9-bit masks, from the
-    81 flat cell values (0 for an empty cell)."""
-    used = [0] * len(UNIT_CELLS)
-    for idx, v in enumerate(values):
-        if v:
-            bit = 1 << (v - 1)
-            row, col, box = CELL_UNIT_IDS[idx]
-            used[row] |= bit
-            used[col] |= bit
-            used[box] |= bit
-    return used
+# _DIGIT_BITS[v]: the 9-bit mask of cell value v, 0 for an empty cell.
+_DIGIT_BITS = np.array([0] + [1 << d for d in range(GRID_SIZE)])
+
+
+def unit_masks(grid: np.ndarray) -> list:
+    """The digits placed in each of the 27 units, as 9-bit masks (Python
+    ints), from a validated grid: one gather of the cells' digit bits over
+    ``UNITS`` and one OR along each unit."""
+    return np.bitwise_or.reduce(_DIGIT_BITS[grid.reshape(-1)][UNITS], axis=1).tolist()
 
 
 def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
@@ -223,7 +220,7 @@ def _init_candidates(puzzle: np.ndarray, stats: SolveStats):
     values = puzzle.reshape(-1).tolist()
     if not any(values):  # the empty grid, which every generate_solved call seeds
         return [ALL_DIGITS] * N_CELLS
-    placed = unit_masks(values)
+    placed = unit_masks(puzzle)
     # each given adds its bit to three units, so the popcounts fall short of
     # three per given exactly when a unit repeats a digit
     if sum(m.bit_count() for m in placed) != 3 * (N_CELLS - values.count(0)):

@@ -110,7 +110,8 @@ class PuzzleInstance:
     """One dataset unit: masked puzzle, reference solution, provenance.
 
     Invariants (see ``validate``): the puzzle is the solution with exactly
-    round(81*difficulty) cells zeroed.  ``mask`` is true on those cells.
+    round(81*difficulty) cells zeroed, and the seed is a non-negative
+    integer.  ``mask`` is true on those cells.
     """
 
     puzzle: np.ndarray
@@ -123,6 +124,8 @@ class PuzzleInstance:
         return self.puzzle == 0
 
     def validate(self) -> "PuzzleInstance":
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         puzzle, _ = as_completion(self.puzzle, self.solution)
         n_masked = int((puzzle == 0).sum())
         expected = masked_cell_count(self.difficulty)

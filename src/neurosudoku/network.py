@@ -19,6 +19,12 @@ the parameters move by ``lr_t * m / (sqrt(v) + eps_t)`` with
 owns the moments and one scratch buffer, flat arrays laid out like
 ``ModelParams.data``; a step allocates no parameter-sized array, as every
 intermediate goes through the scratch buffer.
+
+Per-call work is done once where it can be: a ``ModelParams`` builds the
+views of its four fields when it is made, the softmax takes every cell's
+maximum in one ``np.maximum.reduceat``, and ``backward`` writes the W2
+gradient with ``np.einsum``, which differs from ``np.outer`` only in the
+sign of zero entries, a sign that cannot reach the parameters.
 """
 
 from __future__ import annotations
@@ -62,15 +68,14 @@ class CheckpointError(ValueError):
 
 
 def _param_view(name: str) -> property:
-    """A field of ModelParams: a view into its buffer; assignment copies in."""
+    """A field of ModelParams: its view into the buffer; assignment copies in."""
     k = PARAM_FIELDS.index(name)
-    start, stop, shape = _OFFSETS[k], _OFFSETS[k + 1], PARAM_SHAPES[name]
 
     def get(self) -> np.ndarray:
-        return self.data[start:stop].reshape(shape)
+        return self._views[k]
 
     def set(self, value) -> None:
-        self.data[start:stop].reshape(shape)[...] = value
+        self._views[k][...] = value
 
     return property(get, set)
 
@@ -80,8 +85,10 @@ class ModelParams:
     buffer ``data`` of N_PARAMS entries.
 
     ``W1`` (64, 81), ``b1`` (64,), ``W2`` (729, 64) and ``b2`` (729,) are
-    views into the buffer, in that order; assigning one of them writes into
-    the buffer.  The same container holds the parameters' gradients.
+    views into the buffer, in that order, made once per object; assigning
+    one of them writes into the buffer.  A pickled or deep-copied object is
+    rebuilt from its buffer, so its views are views of its own copy.  The
+    same container holds the parameters' gradients.
     """
 
     W1 = _param_view("W1")
@@ -93,6 +100,11 @@ class ModelParams:
         if data.shape != (N_PARAMS,) or data.dtype != np.float64:
             raise ValueError(f"parameter buffer must be float64 of shape ({N_PARAMS},)")
         self.data = data
+        self._views = tuple(data[start:stop].reshape(shape) for start, stop, shape
+                            in zip(_OFFSETS, _OFFSETS[1:], PARAM_SHAPES.values()))
+
+    def __reduce__(self):
+        return ModelParams, (self.data,)
 
     def all_finite(self) -> bool:
         # min and max propagate NaN; two reductions allocate nothing
@@ -130,10 +142,12 @@ class ForwardCache:
     probs: np.ndarray  # (81, 9) per-cell softmax of the logits
 
 
+_CELL_STARTS = np.arange(0, N_LOGITS, GRID_SIZE)  # each cell's first logit
+
+
 def _softmax_cells(logits: np.ndarray) -> np.ndarray:
     """Per-cell softmax over the 9 digit logits, max-subtracted for stability."""
-    z = logits.reshape(N_CELLS, GRID_SIZE)
-    z = z - z.max(axis=1, keepdims=True)
+    z = logits.reshape(N_CELLS, GRID_SIZE) - np.maximum.reduceat(logits, _CELL_STARTS)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -166,7 +180,11 @@ def backward(params: ModelParams, cache: ForwardCache, d_tensor: np.ndarray,
     # softmax Jacobian per cell: dz = p * (dp - <dp, p>)
     dz = (probs * (dp - (dp * probs).sum(axis=1, keepdims=True))).reshape(-1)
     grads = ModelParams(np.empty(N_PARAMS)) if out is None else out
-    np.outer(dz, cache.hidden, out=grads.W2)
+    # einsum writes the products of np.outer, twice as fast, but +0 where
+    # np.outer may write -0.  That sign cannot reach the parameters: Adam's
+    # moments start at +0 and never become -0, so adding a zero gradient
+    # entry of either sign leaves them as they were.
+    np.einsum("i,j->ij", dz, cache.hidden, out=grads.W2)
     grads.b2 = dz
     dpre = (params.W2.T @ dz) * (cache.pre_hidden > 0.0)
     np.outer(dpre, cache.x, out=grads.W1)

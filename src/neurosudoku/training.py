@@ -334,8 +334,10 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     network's placements are dropped.  Greedy leaves a cell empty only
     when every digit is already placed among its peers, and later
     placements only remove candidates, so the greedy grid itself never has
-    a completion.  A solvable puzzle therefore always yields a fully valid
-    grid; only an unsolvable one returns the degraded greedy output.
+    a completion.  So the engine is called at greedy's first stuck cell,
+    without finishing a grid it would drop.  A solvable puzzle therefore
+    always yields a fully valid grid; only an unsolvable one returns the
+    degraded greedy output, finished from that cell on.
     Raises only ValueError, for an unknown mode, a malformed puzzle, or a
     tensor that is not (9, 9, 9) with finite entries.
     """
@@ -353,7 +355,7 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
     grid = puzzle.copy()
     cells = grid.reshape(-1)
     probs = tensor.reshape(N_CELLS, GRID_SIZE)
-    used = unit_masks(cells.tolist())
+    used = unit_masks(puzzle)
     empties = np.flatnonzero(cells == 0)
     # most confident cell first; stable sort keeps row-major order on ties
     order = empties[np.argsort(-probs[empties].max(axis=1), kind="stable")]
@@ -367,10 +369,11 @@ def postprocess(tensor: np.ndarray, puzzle, mode: str) -> np.ndarray:
             used[row] |= 1 << bit
             used[col] |= 1 << bit
             used[box] |= 1 << bit
-    if mode == MODE_HYBRID and (grid == 0).any():
-        outcome = solve(puzzle, 1)
-        if outcome.solutions:
-            return outcome.solutions[0]
+        elif mode == MODE_HYBRID:  # the first stuck cell: greedy will leave it empty
+            outcome = solve(puzzle, 1)
+            if outcome.solutions:
+                return outcome.solutions[0]
+            mode = MODE_GREEDY  # no completion: finish the greedy grid
     return grid
 
 

@@ -135,6 +135,20 @@ def _unit_cells():
 UNIT_CELLS = _unit_cells()
 
 
+def unit_masks_slow(grid):
+    """The digits placed in each unit as a 9-bit mask, bit d-1 for digit d,
+    one cell at a time; a digit placed twice sets its bit once."""
+    masks = []
+    for unit in UNIT_CELLS:
+        mask = 0
+        for (i, j) in unit:
+            v = int(grid[i][j])
+            if v:
+                mask |= 1 << (v - 1)
+        masks.append(mask)
+    return masks
+
+
 def is_valid_complete_slow(grid):
     for unit in UNIT_CELLS:
         if sorted(int(grid[i][j]) for (i, j) in unit) != list(range(1, 10)):

@@ -70,11 +70,12 @@ class TestGen:
         run_cli("--seed", "5", "gen", "--n", "4", "--difficulty", "0.3", "--data-out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_negative_seed_is_accepted(self, tmp_path):
-        # gen's seed only seeds the puzzle RNGs, which take any integer
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # the rule lives in PuzzleInstance.validate, which every instance passes
         out = tmp_path / "d.jsonl"
-        assert run_cli("gen", "--n", "2", "--seed", "-1", "--data-out", str(out)) == 0
-        assert [inst.seed for inst in load_dataset(out)] == [-1, 0]
+        assert run_cli("gen", "--n", "2", "--seed", "-1", "--data-out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_difficulty_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli("gen", "--difficulty", "1.5", "--data-out", str(tmp_path / "d.jsonl"))
@@ -236,10 +237,10 @@ class TestTrainEval:
     @pytest.mark.parametrize("key,value", [
         ("difficulty", "Infinity"), ("difficulty", "1e400"), ("difficulty", "-Infinity"),
         ("difficulty", "NaN"), ("difficulty", "1" + "0" * 400), ("difficulty", '"0.1"'),
-        ("seed", "1e400"), ("seed", "1.5"), ("seed", "true"),
+        ("seed", "1e400"), ("seed", "1.5"), ("seed", "true"), ("seed", "-1"),
     ], ids=["difficulty-inf", "difficulty-1e400", "difficulty-minus-inf", "difficulty-nan",
             "difficulty-huge-integer", "difficulty-string", "seed-1e400", "seed-1.5",
-            "seed-true"])
+            "seed-true", "seed-negative"])
     def test_bad_dataset_number_exits_2(self, tmp_path, capsys, key, value):
         data = tmp_path / "data.jsonl"
         run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))

@@ -19,7 +19,7 @@ from neurosudoku.engine import (
 )
 from neurosudoku.grids import is_valid_complete, masked_cell_count
 
-from oracles import init_candidates_one_given_at_a_time, solve_naive
+from oracles import init_candidates_one_given_at_a_time, solve_naive, unit_masks_slow
 
 
 def grids_as_set(grids):
@@ -67,6 +67,26 @@ def assert_matches_naive_on_random_mask(seed, n_empty, limit):
     if ours.exhausted:  # a search cut at the limit may keep other solutions
         assert grids_as_set(ours.solutions) == grids_as_set(naive_solutions)
     assert_sound(ours, puzzle)
+
+
+class TestUnitMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), difficulty=st.sampled_from([0.1, 0.3, 0.6, 0.8]),
+           edits=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 9)), max_size=8))
+    def test_matches_loop_oracle(self, seed, difficulty, edits):
+        grid = mask_puzzle(generate_solved(seed), difficulty, seed).puzzle
+        for cell, value in edits:  # an edited cell may repeat a digit of its units
+            grid.flat[cell] = value
+        masks = engine.unit_masks(grid)
+        assert masks == unit_masks_slow(grid)
+        assert {type(mask) for mask in masks} == {int}  # callers take bit_count()
+
+    def test_repeated_digit_sets_its_bit_once(self):
+        grid = np.zeros((9, 9), dtype=np.int64)
+        grid[0, 0] = grid[0, 4] = grid[1, 1] = 5
+        masks = engine.unit_masks(grid)
+        assert masks[0] == masks[9] == masks[18] == 1 << 4
+        assert sum(map(int.bit_count, masks)) == 7
 
 
 class TestSolve:

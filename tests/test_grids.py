@@ -233,6 +233,14 @@ class TestPuzzleInstance:
         with pytest.raises(ValueError, match="mask count"):
             PuzzleInstance(inst.puzzle, inst.solution, 0.6, inst.seed).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, solved_grid, seed):
+        inst = mask_puzzle(solved_grid, 0.3, 5)
+        for call in (lambda: mask_puzzle(solved_grid, 0.3, seed),
+                     PuzzleInstance(inst.puzzle, inst.solution, 0.3, seed).validate):
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+                call()
+
     @pytest.mark.parametrize("difficulty", [0.0, 0.006, 1.0, -0.3, float("inf"), float("nan")])
     def test_difficulty_outside_the_unit_interval_rejected(self, solved_grid, difficulty):
         inst = mask_puzzle(solved_grid, 0.3, 5)

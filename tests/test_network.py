@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from neurosudoku.network import (
     NumericOverflowError,
     PARAM_FIELDS,
     adam_step,
+    _softmax_cells,
     backward,
     decode_prediction,
     encode_input,
@@ -69,6 +72,21 @@ class TestModelParams:
         assert p.data[:HIDDEN_UNITS * 81].sum() == HIDDEN_UNITS * 81
         with pytest.raises(ValueError):
             p.b1 = np.ones(3)
+
+
+    @pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copy_views_write_into_its_own_buffer(self, duplicate):
+        p = init_params(0)
+        q = duplicate(p)
+        assert q.data.tobytes() == p.data.tobytes()
+        before = p.data.copy()
+        for k, f in enumerate(PARAM_FIELDS):
+            getattr(q, f)[...] = k + 1.0
+        expected = np.concatenate([np.full(getattr(p, f).size, k + 1.0)
+                                   for k, f in enumerate(PARAM_FIELDS)])
+        assert q.data.tolist() == expected.tolist()
+        assert p.data.tobytes() == before.tobytes()
 
 
 class TestInitParams:
@@ -136,6 +154,19 @@ class TestForward:
         t1, _ = forward(p, x)
         t2, _ = forward(p, x)
         assert (t1 == t2).all()
+
+
+class TestSoftmaxCells:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_scale=st.integers(-3, 307))
+    def test_bit_equal_to_the_row_max_form(self, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        # seven levels, so cells tie at their maximum, and noise on some entries
+        logits = rng.integers(-3, 4, N_LOGITS) * 10.0 ** log_scale
+        logits += rng.normal(0, 1, N_LOGITS) * (rng.random(N_LOGITS) < 0.3)
+        z = logits.reshape(81, 9)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        assert _softmax_cells(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
 
 class TestDecodePrediction:
@@ -395,6 +426,17 @@ class TestBackwardQuick:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 assert abs(analytic[i] - fd) <= 1e-4 * max(1.0, abs(analytic[i]), abs(fd))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_w2_gradient_equals_the_outer_product(self, seed):
+        inst = mask_puzzle(generate_solved(seed), 0.6, seed)
+        params = init_params(seed)
+        tensor, cache = forward(params, encode_input(inst.puzzle))
+        _, d_tensor = combined_loss_grad(tensor, inst, ablation_config("all-combined"))
+        grads = backward(params, cache, d_tensor)
+        assert (cache.hidden == 0).any()  # relu zeros: products of either sign of zero
+        # == counts -0 and +0 as equal; the b2 gradient is the logits' gradient
+        assert (grads.W2 == np.outer(grads.b2, cache.hidden)).all()
 
     def test_out_buffer_is_filled_and_returned(self):
         inst = mask_puzzle(generate_solved(2), 0.3, 2)

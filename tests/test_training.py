@@ -413,6 +413,23 @@ class TestSolveWithModel:
         assert (out[given] == puzzle[given]).all()
         assert out[0, 0] == 0  # the dead cell stays empty, no exception
 
+    def test_hybrid_on_unsolvable_puzzle_finishes_the_greedy_grid(self):
+        # the engine is asked at the first stuck cell; with no completion the
+        # greedy pass goes on from there, so every later cell is still filled
+        no_candidate = np.zeros((9, 9), dtype=int)
+        no_candidate[0, 1:9] = range(1, 9)
+        no_candidate[3, 0] = 9
+        clashing = mask_puzzle(generate_solved(3), 0.6, 3).puzzle
+        clashing[0, :] = 0
+        clashing[0, 0] = clashing[0, 8] = 4
+        for puzzle in (no_candidate, clashing):
+            assert not solve(puzzle, 1).solutions
+            for seed in range(4):
+                tensor, _ = forward(init_params(seed), encode_input(puzzle))
+                expected = greedy_fill_slow(tensor, puzzle)
+                assert sum(row.count(0) for row in expected) < 81 - (puzzle != 0).sum()
+                assert postprocess(tensor, puzzle, MODE_HYBRID).tolist() == expected
+
     def test_hybrid_solves_from_givens_when_greedy_leaves_empties(self):
         # greedy leaves a cell empty only when no digit fits it, so the
         # greedy grid has no completion and hybrid solves the givens alone
