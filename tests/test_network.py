@@ -18,8 +18,8 @@ from neurosudoku.network import (
     N_PARAMS,
     NumericOverflowError,
     PARAM_FIELDS,
-    adam_step,
     _softmax_cells,
+    adam_step,
     backward,
     decode_prediction,
     encode_input,
@@ -72,7 +72,6 @@ class TestModelParams:
         assert p.data[:HIDDEN_UNITS * 81].sum() == HIDDEN_UNITS * 81
         with pytest.raises(ValueError):
             p.b1 = np.ones(3)
-
 
     @pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
