@@ -71,24 +71,13 @@ def _load_config_file(path):
     return data
 
 
-def _out_path(args, explicit_path, name: str) -> str:
-    """``explicit_path``, or ``name`` in ``--out``, which is created here.
-    Commands call it just before their first write, so a usage error leaves
-    no directory."""
-    if explicit_path:
-        return explicit_path
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
 def cmd_gen(args, settings: dict) -> int:
     seed = training.read_setting(settings, "seed", int, training.TrainConfig.seed)
     n = training.read_setting(settings, "n_puzzles", int, 12)
     difficulty = training.read_setting(settings, "difficulty", float, 0.1)
     dataset = training.build_dataset(n, difficulty, seed)
-    out_path = _out_path(args, args.data_out, "dataset.jsonl")
-    training.save_dataset(dataset, out_path)
-    print(f"wrote {len(dataset)} instances to {out_path}")
+    training.save_dataset(dataset, args.data_out)
+    print(f"wrote {len(dataset)} instances to {args.data_out}")
     return 0
 
 
@@ -96,11 +85,10 @@ def cmd_train(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
     dataset = training.load_dataset(args.data)
     params, history = training.train(dataset, cfg, init_seed=cfg.seed)
-    model_path = _out_path(args, args.model_out, "model.json")
-    network.save_params(params, model_path, seed=cfg.seed)
+    network.save_params(params, args.model_out, seed=cfg.seed)
     print(f"trained {cfg.epochs} epochs on {len(dataset)} puzzles")
     print(f"first-epoch loss {history[0]:.6f}, final-epoch loss {history[-1]:.6f}")
-    print(f"checkpoint: {model_path}")
+    print(f"checkpoint: {args.model_out}")
     return 0
 
 
@@ -108,11 +96,10 @@ def cmd_eval(args, settings: dict) -> int:
     cfg = training.TrainConfig.from_dict(settings)
     dataset = training.load_dataset(args.data)
     result = training.kfold_evaluate(dataset, cfg)
-    csv_path = _out_path(args, args.csv_out, "results.csv")
-    training.write_results_csv(result.csv_rows(), csv_path)
+    training.write_results_csv(result.csv_rows(), args.csv_out)
     print(f"accuracy all-cells  : {result.mean_all:.4f} +/- {result.std_all:.4f}")
     print(f"accuracy empty-cells: {result.mean_empty:.4f} +/- {result.std_empty:.4f}")
-    print(f"results: {csv_path}")
+    print(f"results: {args.csv_out}")
     return 0
 
 
@@ -138,8 +125,6 @@ def cmd_table1(args, settings: dict) -> int:
         rows = _parse_rows(args.rows)
     except ValueError as exc:
         raise ValueError(f"bad --rows: {exc}") from None
-    if args.profile == "quick":
-        rows = [(n, d) for n, d in rows if n <= 12]
     ablations = args.ablations.split(",")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -214,16 +199,14 @@ def cmd_solve(args, settings: dict) -> int:
 
 def cmd_export_asp(args, settings: dict) -> int:
     program = engine.emit_asp_program(_read_puzzle(args.puzzle))
-    out_path = _out_path(args, args.asp_out, "puzzle.lp")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(args.asp_out, "w", encoding="utf-8") as fh:
         fh.write(program)
-    print(f"program: {out_path}")
+    print(f"program: {args.asp_out}")
     return 0
 
 
 SHARED_FLAGS = {
     "--config": dict(help="experiment config JSON file"),
-    "--out": dict(default=".", help="output directory (default .)"),
     "--seed": dict(type=int, help="base RNG seed"),
     "--epochs": dict(type=int),
     "--folds": dict(type=int),
@@ -254,31 +237,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p)
         return p
 
-    p = subcommand("gen", cmd_gen, ("--config", "--out", "--seed"),
+    p = subcommand("gen", cmd_gen, ("--config", "--seed"),
                    help="generate a puzzle dataset (JSON lines)")
     p.add_argument("--n", dest="n_puzzles", type=int, default=None,
                    help="number of puzzles (default 12)")
     p.add_argument("--difficulty", type=float, default=None,
                    help="fraction of cells masked, in (0,1); default 0.1")
-    p.add_argument("--data-out", default=None, help="dataset path (default OUT/dataset.jsonl)")
+    p.add_argument("--data-out", default="dataset.jsonl",
+                   help="dataset path (default dataset.jsonl)")
 
-    train_flags = ("--config", "--out", "--seed", "--epochs", "--lr", "--constraint-mode",
+    train_flags = ("--config", "--seed", "--epochs", "--lr", "--constraint-mode",
                    "--ablation", "--alpha", "--beta", "--gamma")
     p = subcommand("train", cmd_train, train_flags,
                    help="train a model on a dataset, save a checkpoint")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
-    p.add_argument("--model-out", default=None, help="checkpoint path (default OUT/model.json)")
+    p.add_argument("--model-out", default="model.json",
+                   help="checkpoint path (default model.json)")
 
     p = subcommand("eval", cmd_eval, (*train_flags, "--folds", "--postprocess-mode"),
                    help="k-fold evaluation of a dataset")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
-    p.add_argument("--csv-out", default=None, help="results path (default OUT/results.csv)")
+    p.add_argument("--csv-out", default="results.csv", help="results path (default results.csv)")
 
-    p = subcommand("table1", cmd_table1, ("--config", "--out", "--epochs", "--folds", "--lr",
+    p = subcommand("table1", cmd_table1, ("--config", "--epochs", "--folds", "--lr",
                                           "--constraint-mode"),
                    help="run the ablation grid, write CSV and charts")
-    p.add_argument("--profile", choices=("quick", "full"), default="full",
-                   help="quick = 12-puzzle rows only")
+    p.add_argument("--out", default=".", help="directory for table1.csv and the charts (default .)")
     p.add_argument("--rows", default=",".join(f"{n}:{d}" for n, d in DEFAULT_TABLE1_ROWS),
                    help="comma list of n:difficulty cells (default the full grid)")
     p.add_argument("--ablations", default=",".join(ABLATIONS),
@@ -298,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a comparison SVG (needs --solution)")
     p.add_argument("--no-color", action="store_true", help="disable --render's ANSI colors")
 
-    p = subcommand("export-asp", cmd_export_asp, ("--out",),
+    p = subcommand("export-asp", cmd_export_asp, (),
                    help="write the puzzle's logic program")
     p.add_argument("puzzle", help="81-character puzzle ('.' or '0' = empty)")
-    p.add_argument("--asp-out", default=None, help="program path (default OUT/puzzle.lp)")
+    p.add_argument("--asp-out", default="puzzle.lp", help="program path (default puzzle.lp)")
 
     return parser
 

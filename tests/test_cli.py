@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,7 +15,7 @@ import pytest
 
 import neurosudoku
 from neurosudoku.charts import grid_charts
-from neurosudoku.cli import build_parser, main
+from neurosudoku.cli import SHARED_FLAGS, _subcommand_first, build_parser, main
 from neurosudoku.engine import PROGRAM_RULES
 from neurosudoku.grids import format_grid, is_valid_complete, parse_grid
 from neurosudoku.losses import ABLATIONS, LossConfig, ablation_config
@@ -27,6 +28,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def subcommand_parsers():
+    """{subcommand name: its parser} of ``build_parser()``."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
 
 
 def fresh_python(*args):
@@ -356,15 +363,6 @@ class TestTable1:
         pairs = {(b.get("data-group"), b.get("data-series")) for b in bars}
         assert len(pairs) == 4
 
-    def test_quick_profile_drops_large_rows(self, tmp_path):
-        out = tmp_path / "t1"
-        code = run_cli("--out", str(out), "--profile", "quick", "table1",
-                       "--rows", "4:0.1,100:0.1", "--seeds", "0",
-                       "--epochs", "1", "--folds", "2")
-        assert code == 0
-        rows = list(csv.DictReader(open(out / "table1.csv")))
-        assert {r["n_puzzles"] for r in rows} == {"4"}
-
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         code = run_cli("--out", str(tmp_path / "t1"), "table1", "--rows", "12x0.1")
         assert code == 2
@@ -380,15 +378,14 @@ class TestTable1:
         (("--rows", ""), "bad --rows: row ''"),
         (("--rows", "4:0.1", "--seeds", ""), "bad --seeds: ''"),
         (("--rows", "4:0.1", "--ablations", ""), "unknown ablation label: ''"),
-        (("--profile", "quick", "--rows", "100:0.1"), "the grid needs at least one row"),
         (("--rows", "4:0.1", "--ablations", "standard-only,nope"),
          "unknown ablation label: 'nope'"),
         (("--rows", "4:0.1,12:1.5"), "difficulty must be in (0,1), got 1.5"),
         (("--rows", "4:0.1,4:0.1", "--seeds", "0,0", "--ablations", "standard-only,standard-only"),
          "the grid repeats row (4, 0.1)"),
         (("--rows", "4:0.1", "--seeds", "-1"), "seed must be >= 0, got -1"),
-    ], ids=["rows-empty", "seeds-empty", "ablations-empty", "quick-keeps-no-row",
-            "unknown-ablation", "difficulty-1.5", "repeated-cells", "negative-seed"])
+    ], ids=["rows-empty", "seeds-empty", "ablations-empty", "unknown-ablation",
+            "difficulty-1.5", "repeated-cells", "negative-seed"])
     def test_empty_or_bad_grid_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
         out = tmp_path / "t1"
         assert run_cli("--out", str(out), "table1", *argv) == 2
@@ -672,7 +669,6 @@ class TestFileErrors:
         "solve-write": ("solve", "--model", "{model}", "." * 81, "--solution", "{solution}",
                         "--render-svg", "{missing}/g.svg"),
         "export-asp-write": ("export-asp", "." * 81, "--asp-out", "{missing}/p.lp"),
-        "export-asp-out-is-a-file": ("--out", "{data}", "export-asp", "." * 81),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -710,7 +706,10 @@ class TestFlags:
         ("gen", "--profile", "quick"), ("train", "--profile", "quick"),
         ("eval", "--profile", "quick"), ("solve", "--profile", "quick"),
         ("export-asp", "--profile", "quick"),
-        ("solve", "--out", "newdir"), ("export-asp", "--config", "config.json"),
+        ("table1", "--profile", "quick"),
+        ("gen", "--out", "newdir"), ("train", "--out", "newdir"), ("eval", "--out", "newdir"),
+        ("solve", "--out", "newdir"), ("export-asp", "--out", "newdir"),
+        ("export-asp", "--config", "config.json"),
         ("train", "--folds", "2"), ("train", "--postprocess-mode", "argmax"),
         ("table1", "--chart-style", "lines"),
     ]
@@ -786,8 +785,10 @@ class TestFlags:
         ("eval", "--data", "missing.jsonl"),
     ], ids=["gen-n-0", "train-epochs-0", "eval-folds-1", "eval-missing-data"])
     def test_error_before_writing_creates_no_out_directory(self, workdir, argv):
-        assert run_cli(*argv, "--out", "newdir") != 0
-        assert not (workdir / "newdir").exists()
+        # the outputs default to files in the working directory, model.json among them
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        assert run_cli(*argv) != 0
+        assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
 
     @pytest.mark.parametrize("out", [("--out=gen",), ("--out", "gen")], ids=["equals", "space"])
     def test_flag_value_may_name_a_subcommand(self, workdir, out):
@@ -799,11 +800,30 @@ class TestFlags:
             readme = fh.read()
         rows = re.findall(r"^\| `([a-z0-9-]+)` \|(.*)$", readme, re.MULTILINE)
         documented = {name: set(re.findall(r"--[a-z-]+", text)) for name, text in rows}
-        (commands,) = [a for a in build_parser()._actions
-                       if isinstance(a, argparse._SubParsersAction)]
         parsed = {name: {flag for action in sub._actions for flag in action.option_strings}
-                  - {"-h", "--help"} for name, sub in commands.choices.items()}
+                  - {"-h", "--help"} for name, sub in subcommand_parsers().items()}
         assert documented == parsed
+
+    def test_readme_cli_examples_parse(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("neurosudoku ")]
+        parser = build_parser()
+        named = set()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            args, unread = parser.parse_known_args(_subcommand_first(argv, parser))
+            assert unread == [], line
+            named.add(args.command)
+        assert named == set(subcommand_parsers())
+
+    def test_each_shared_flag_is_taken_by_several_subcommands(self):
+        for flag in SHARED_FLAGS:
+            takers = [name for name, sub in subcommand_parsers().items()
+                      if flag in sub._option_string_actions]
+            assert len(takers) >= 2, f"{flag} is taken only by {takers}"
 
 
 class TestCharts:

@@ -39,14 +39,16 @@ ABLATIONS = "standard-only,standard+expert,standard+constraints,all-combined"
 # name -> argv; {out} is the command's own directory, and {data}, {model},
 # {puzzle} and {solution} come from the shared gen and train runs
 COMMANDS = {
-    "gen": ["--seed", "5", "--out", "{out}", "gen", "--n", "12", "--difficulty", "0.6"],
-    "train": ["--seed", "3", "--out", "{out}", "train", "--data", "{data}", "--epochs", "5"],
+    "gen": ["--seed", "5", "--data-out", "{out}/dataset.jsonl", "gen", "--n", "12",
+            "--difficulty", "0.6"],
+    "train": ["--seed", "3", "--model-out", "{out}/model.json", "train", "--data", "{data}",
+              "--epochs", "5"],
     "table1": ["--out", "{out}", "table1", "--rows", "12:0.1,12:0.8", "--seeds", "0",
                "--ablations", ABLATIONS, "--epochs", "10", "--folds", "3"],
 }
 for _mode in POSTPROCESS_MODES:
-    COMMANDS[f"eval-{_mode}"] = ["--out", "{out}", "eval", "--data", "{data}", "--epochs", "3",
-                                 "--folds", "3", "--postprocess-mode", _mode]
+    COMMANDS[f"eval-{_mode}"] = ["--csv-out", "{out}/results.csv", "eval", "--data", "{data}",
+                                 "--epochs", "3", "--folds", "3", "--postprocess-mode", _mode]
     COMMANDS[f"solve-{_mode}"] = ["solve", "--model", "{model}", "{puzzle}",
                                   "--postprocess-mode", _mode]
     COMMANDS[f"solve-{_mode}-render"] = [*COMMANDS[f"solve-{_mode}"], "--solution", "{solution}",
