@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import charts, engine, grids, network, training
-from .losses import ABLATIONS, CONSTRAINT_MODES
+from .losses import ABLATIONS, CONSTRAINT_MODES, CUSTOM
 
 DEFAULT_TABLE1_ROWS = (
     (12, 0.1),
@@ -40,11 +40,7 @@ DEFAULT_TABLE1_ROWS = (
     (1000, 0.8),
 )
 DEFAULT_TABLE1_SEEDS = (0, 1, 2)
-CONFIG_KEYS = (
-    "n_puzzles", "difficulty", "ablation", "alpha", "beta", "gamma",
-    "constraint_mode", "epochs", "folds", "seed", "lr", "postprocess_mode",
-)
-TABLE1_KEYS = ("epochs", "folds", "lr", "constraint_mode")
+CONFIG_KEYS = ("n_puzzles", "difficulty", *training.TrainConfig().to_dict())
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -115,12 +111,6 @@ def _parse_rows(text: str):
 
 
 def cmd_table1(args, settings: dict) -> int:
-    # only a --config key gets here, as table1's parser rejects a flag it does
-    # not read; table1 runs its own seeds and ablations
-    unread = sorted(set(settings) - set(TABLE1_KEYS))
-    if unread:
-        raise ValueError(f"table1 does not read config keys {', '.join(map(repr, unread))}; "
-                         f"it reads {', '.join(TABLE1_KEYS)} (use --seeds and --ablations)")
     try:
         rows = _parse_rows(args.rows)
     except ValueError as exc:
@@ -211,12 +201,12 @@ SHARED_FLAGS = {
     "--epochs": dict(type=int),
     "--folds": dict(type=int),
     "--lr": dict(type=float),
-    "--constraint-mode": dict(choices=CONSTRAINT_MODES),
-    "--ablation": dict(choices=ABLATIONS),
+    "--constraint-mode": dict(help=f"one of {', '.join(CONSTRAINT_MODES)}"),
+    "--ablation": dict(help=f"one of {', '.join(ABLATIONS)}, or {CUSTOM} with all three weights"),
     "--alpha": dict(type=float),
     "--beta": dict(type=float),
     "--gamma": dict(type=float),
-    "--postprocess-mode": dict(choices=training.POSTPROCESS_MODES),
+    "--postprocess-mode": dict(help=f"one of {', '.join(training.POSTPROCESS_MODES)}"),
 }
 
 
@@ -259,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset JSON-lines file")
     p.add_argument("--csv-out", default="results.csv", help="results path (default results.csv)")
 
-    p = subcommand("table1", cmd_table1, ("--config", "--epochs", "--folds", "--lr",
-                                          "--constraint-mode"),
+    p = subcommand("table1", cmd_table1, ("--epochs", "--folds", "--lr", "--constraint-mode"),
                    help="run the ablation grid, write CSV and charts")
     p.add_argument("--out", default=".", help="directory for table1.csv and the charts (default .)")
     p.add_argument("--rows", default=",".join(f"{n}:{d}" for n, d in DEFAULT_TABLE1_ROWS),

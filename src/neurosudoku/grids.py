@@ -105,6 +105,13 @@ def masked_cell_count(difficulty: float) -> int:
     return count
 
 
+def check_seed(seed) -> int:
+    """``seed``, or ValueError unless it is a non-negative integer, not a boolean."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class PuzzleInstance:
     """One dataset unit: masked puzzle, reference solution, provenance.
@@ -124,8 +131,7 @@ class PuzzleInstance:
         return self.puzzle == 0
 
     def validate(self) -> "PuzzleInstance":
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         puzzle, _ = as_completion(self.puzzle, self.solution)
         n_masked = int((puzzle == 0).sum())
         expected = masked_cell_count(self.difficulty)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GRID_SIZE, N_CELLS, as_grid
+from .grids import GRID_SIZE, N_CELLS, as_grid, check_seed
 
 HIDDEN_UNITS = 64
 N_LOGITS = N_CELLS * GRID_SIZE  # 729
@@ -265,7 +265,7 @@ def load_params(path):
 
     Raises CheckpointError for anything but a checkpoint object of version
     1 (a JSON integer) holding every field as an array of its shape of
-    finite JSON numbers.
+    finite JSON numbers, and a seed that ``grids.check_seed`` accepts.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -309,7 +309,7 @@ def load_params(path):
         if not np.isfinite(arr).all():
             raise CheckpointError(f"checkpoint {path}: field {f} has non-finite values")
         setattr(params, f, arr)
-    seed = payload.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise CheckpointError(f"checkpoint {path}: seed must be an integer, got {json.dumps(seed)}")
-    return params, seed
+    try:
+        return params, check_seed(payload.get("seed", 0))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None

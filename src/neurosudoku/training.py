@@ -34,6 +34,7 @@ from .grids import (
     PuzzleInstance,
     as_grid,
     cell_accuracy,
+    check_seed,
     format_grid,
     masked_cell_count,
     parse_grid,
@@ -49,6 +50,7 @@ from .losses import (
 from .network import (
     AdamState,
     ModelParams,
+    NumericOverflowError,
     adam_step,
     backward,
     decode_prediction,
@@ -109,8 +111,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         _check_postprocess_mode(self.postprocess_mode)
@@ -309,6 +310,8 @@ def train(dataset, config: TrainConfig, init_seed: int):
             adam_step(params, backward(params, cache, d_tensor, out=grads), state)
             epoch_losses.append(breakdown.combined)
         history.append(float(np.mean(epoch_losses)))
+        if not math.isfinite(history[-1]):
+            raise NumericOverflowError("numeric overflow: non-finite loss")
     return params, history
 
 

@@ -32,6 +32,7 @@ from neurosudoku.network import (
 
 from oracles import adam_scalar_reference, adam_step_slow
 
+SEED_RULE = "model.json: seed must be a non-negative integer, got"
 
 class TestEncodeInput:
     def test_all_zero_grid(self):
@@ -353,10 +354,11 @@ class TestCheckpoint:
         (lambda payload: {**payload, "b2": [float("nan")] * 729}, "non-finite"),
         (lambda payload: {**payload, "b1": [10**400] * 64}, "b1 is not a numeric array"),
         # JSON reads 1e400 as infinity
-        (lambda payload: {**payload, "seed": float("inf")}, "seed must be an integer"),
-        (lambda payload: {**payload, "seed": 1.5}, "seed must be an integer"),
-        (lambda payload: {**payload, "seed": True}, "seed must be an integer"),
-        (lambda payload: {**payload, "seed": "3"}, "seed must be an integer"),
+        (lambda payload: {**payload, "seed": float("inf")}, f"{SEED_RULE} inf"),
+        (lambda payload: {**payload, "seed": 1.5}, f"{SEED_RULE} 1.5"),
+        (lambda payload: {**payload, "seed": True}, f"{SEED_RULE} True"),
+        (lambda payload: {**payload, "seed": "3"}, f"{SEED_RULE} '3'"),
+        (lambda payload: {**payload, "seed": -1}, f"{SEED_RULE} -1"),
         # numpy would read each of these as a number
         (lambda payload: {**payload, "b1": ["0.5"] * 64}, 'b1 holds non-number "0.5"'),
         (lambda payload: {**payload, "W1": [["1"] * 81] * 64}, 'W1 holds non-number "1"'),
@@ -366,7 +368,8 @@ class TestCheckpoint:
         (lambda payload: {**payload, "version": True}, "version true, expected 1"),
         (lambda payload: {**payload, "version": 1.0}, "version 1.0, expected 1"),
     ], ids=["json-list", "missing-field", "non-numeric", "nan-weights", "integer-too-large",
-            "seed-infinite", "seed-1.5", "seed-true", "seed-string", "weights-strings",
+            "seed-infinite", "seed-1.5", "seed-true", "seed-string", "seed-negative",
+            "weights-strings",
             "weight-rows-strings", "weights-booleans", "one-boolean-weight", "version-true",
             "version-float"])
     def test_malformed_payload_raises_checkpoint_error(self, tmp_path, edit, match):

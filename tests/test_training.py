@@ -157,6 +157,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            TrainConfig(seed=seed)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train([], TrainConfig(), 0)
@@ -578,7 +583,7 @@ class TestRunGrid:
         ([(4, 0.1)], [0, 1, 0], ["standard-only"], "the grid repeats seed 0"),
         ([(4, 0.1)], [0], ["standard-only", "all-combined", "standard-only"],
          "the grid repeats ablation standard-only"),
-        ([(4, 0.1)], [0, -1], ["standard-only"], "seed must be >= 0, got -1"),
+        ([(4, 0.1)], [0, -1], ["standard-only"], "seed must be a non-negative integer, got -1"),
     ], ids=["unknown-label", "difficulty-1.5", "fewer-puzzles-than-folds", "no-rows",
             "no-seeds", "no-ablations", "repeated-row", "repeated-seed", "repeated-ablation",
             "negative-seed"])
