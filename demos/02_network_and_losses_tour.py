@@ -12,9 +12,9 @@ from neurosudoku.losses import (
     ablation_config,
     combined_loss,
     combined_loss_grad,
-    constraints_loss,
-    expert_loss,
-    standard_loss,
+    constraints_loss_grad,
+    expert_loss_grad,
+    standard_loss_grad,
 )
 from neurosudoku.network import (
     backward,
@@ -42,15 +42,15 @@ for i in range(9):
     for j in range(9):
         truth[i, j, solution[i, j] - 1] = 1.0
 
-print("\nstandard loss:  uniform =", round(standard_loss(uniform, solution), 6),
+print("\nstandard loss:  uniform =", round(standard_loss_grad(uniform, solution)[0], 6),
       "(= ln 9 =", round(math.log(9), 6), "), truth =",
-      standard_loss(truth, solution))
-print("expert loss:    uniform =", expert_loss(uniform),
+      standard_loss_grad(truth, solution)[0])
+print("expert loss:    uniform =", expert_loss_grad(uniform)[0],
       "(degenerate: every unit expectation already sums to 45)")
 print("constraints:    truth, solution-consistent =",
-      constraints_loss(truth, inst.puzzle, "solution-consistent"))
+      constraints_loss_grad(truth, inst.puzzle, "solution-consistent")[0])
 print("constraints:    uniform, fixed-target, no empties =",
-      constraints_loss(uniform, solution, "fixed-target"),
+      constraints_loss_grad(uniform, solution, "fixed-target")[0],
       "(27 units x 9 digits x 1^2)")
 
 # The combined loss is the weighted sum of whichever components the

@@ -310,8 +310,6 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except OSError as exc:  # a file that cannot be read or written; the message names it
         return _fail(str(exc))
-    except network.NumericOverflowError as exc:  # a diverging run
-        return _fail(f"NumericOverflowError: {exc}")
     except Exception as exc:  # last-resort: report, nonzero exit
         return _fail(f"{type(exc).__name__}: {exc}")
 

@@ -1,6 +1,6 @@
 """Training losses over the 9x9x9 prediction tensor.
 
-Three components, each differentiable in the predicted probabilities:
+Three components, each one ``*_loss_grad`` that returns (value, gradient):
 
 * standard: mean per-cell cross-entropy against the true solution.
 * constraints: for every digit and every unit (row/column/box), the squared
@@ -22,8 +22,8 @@ Constraint target modes:
 
 The combined loss is the weighted sum alpha*standard + beta*constraints +
 gamma*expert.  ``combined_loss`` (validation) measures every component
-whatever its weight; ``combined_loss_grad`` (training) skips zero-weight
-components and reports them as 0.
+whatever its weight and keeps only the values; ``combined_loss_grad``
+(training) skips zero-weight components and reports them as 0.
 """
 
 from __future__ import annotations
@@ -96,12 +96,8 @@ def ablation_config(label: str, constraint_mode: str = MODE_SOLUTION_CONSISTENT)
         ) from None
 
 
-def standard_loss(pred: np.ndarray, target) -> float:
-    """Mean over the 81 cells of -log(probability of the true digit)."""
-    return standard_loss_grad(pred, target)[0]
-
-
 def standard_loss_grad(pred: np.ndarray, target):
+    """(value, gradient) of the mean over the 81 cells of -log(p(true digit))."""
     target = as_grid(target)
     rows = np.arange(GRID_SIZE)[:, None]
     cols = np.arange(GRID_SIZE)[None, :]
@@ -124,13 +120,9 @@ def constraint_targets(givens, mode: str) -> np.ndarray:
     raise ValueError(f"unknown constraint mode: {mode!r}")
 
 
-def constraints_loss(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CONSISTENT) -> float:
-    """Squared target-count gaps of per-unit digit mass over the empty cells
-    of ``givens``."""
-    return constraints_loss_grad(pred, givens, mode)[0]
-
-
 def constraints_loss_grad(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CONSISTENT):
+    """(value, gradient) of the squared target-count gaps of per-unit digit
+    mass over the empty cells of ``givens``."""
     m = (np.asarray(givens).reshape(N_CELLS, 1) == 0).astype(np.float64)
     mass = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) * m)  # (27, 9) per unit and digit
     residual = constraint_targets(givens, mode) - mass
@@ -138,13 +130,8 @@ def constraints_loss_grad(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CO
     return float((residual ** 2).sum()), d_pred.reshape(pred.shape)
 
 
-def expert_loss(pred: np.ndarray) -> float:
-    """Absolute gaps between predicted unit sums of cell values and 45, the
-    sum of every unit of a valid grid."""
-    return expert_loss_grad(pred)[0]
-
-
 def expert_loss_grad(pred: np.ndarray):
+    """(value, gradient) of the absolute gaps between predicted unit sums and 45."""
     gap = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) @ _DIGITS) - _UNIT_SUM
     d_pred = np.multiply.outer(INCIDENCE.T @ np.sign(gap), _DIGITS)
     return float(np.abs(gap).sum()), d_pred.reshape(pred.shape)
@@ -157,9 +144,9 @@ def _weighted(config: LossConfig, std: float, cons: float, exp_: float) -> LossB
 
 def combined_loss(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig) -> LossBreakdown:
     """Every component, measured whatever its weight, and their weighted sum."""
-    return _weighted(config, standard_loss(pred, instance.solution),
-                     constraints_loss(pred, instance.puzzle, config.constraint_mode),
-                     expert_loss(pred))
+    return _weighted(config, standard_loss_grad(pred, instance.solution)[0],
+                     constraints_loss_grad(pred, instance.puzzle, config.constraint_mode)[0],
+                     expert_loss_grad(pred)[0])
 
 
 def combined_loss_grad(pred: np.ndarray, instance: PuzzleInstance, config: LossConfig):

@@ -22,9 +22,10 @@ intermediate goes through the scratch buffer.
 
 Per-call work is done once where it can be: a ``ModelParams`` builds the
 views of its four fields when it is made, the softmax takes every cell's
-maximum in one ``np.maximum.reduceat``, and ``backward`` writes the W2
-gradient with ``np.einsum``, which differs from ``np.outer`` only in the
-sign of zero entries, a sign that cannot reach the parameters.
+maximum in one ``np.maximum.reduceat``, and ``backward`` writes both weight
+gradients with ``np.einsum``, which differs from ``np.outer`` only in the
+sign of zero entries, a sign that cannot reach the parameters.  The forward
+cache holds what ``backward`` reads; the relu mask is ``hidden > 0``.
 """
 
 from __future__ import annotations
@@ -133,13 +134,11 @@ def encode_input(grid) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept for the backward pass."""
+    """What ``backward`` reads: the input, the relu output and the per-cell softmax."""
 
     x: np.ndarray
-    pre_hidden: np.ndarray
     hidden: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray  # (81, 9) per-cell softmax of the logits
+    probs: np.ndarray  # (81, 9)
 
 
 _CELL_STARTS = np.arange(0, N_LOGITS, GRID_SIZE)  # each cell's first logit
@@ -163,8 +162,7 @@ def forward(params: ModelParams, x: np.ndarray):
         if not np.isfinite(logits).all():
             raise NumericOverflowError("numeric overflow in the output layer")
     probs = _softmax_cells(logits)
-    cache = ForwardCache(x=x.copy(), pre_hidden=pre_hidden, hidden=hidden,
-                         logits=logits, probs=probs)
+    cache = ForwardCache(x=x.copy(), hidden=hidden, probs=probs)
     return probs.reshape(GRID_SIZE, GRID_SIZE, GRID_SIZE), cache
 
 
@@ -186,8 +184,8 @@ def backward(params: ModelParams, cache: ForwardCache, d_tensor: np.ndarray,
     # entry of either sign leaves them as they were.
     np.einsum("i,j->ij", dz, cache.hidden, out=grads.W2)
     grads.b2 = dz
-    dpre = (params.W2.T @ dz) * (cache.pre_hidden > 0.0)
-    np.outer(dpre, cache.x, out=grads.W1)
+    dpre = (params.W2.T @ dz) * (cache.hidden > 0.0)
+    np.einsum("i,j->ij", dpre, cache.x, out=grads.W1)
     grads.b1 = dpre
     return grads
 

@@ -40,6 +40,7 @@ from .grids import (
     parse_grid,
 )
 from .losses import (
+    ABLATIONS,
     CUSTOM,
     LossBreakdown,
     LossConfig,
@@ -140,6 +141,9 @@ class TrainConfig:
         """
         mode = read_setting(settings, "constraint_mode", str, cls.loss.constraint_mode)
         label = read_setting(settings, "ablation", str, cls.loss.ablation)
+        if label not in (*ABLATIONS, CUSTOM):
+            raise ValueError(f"unknown ablation label: {label!r} (choose from "
+                             f"{', '.join(ABLATIONS)}, or {CUSTOM!r} with alpha, beta and gamma)")
         base = {} if label == CUSTOM else asdict(ablation_config(label, mode))
         weights = {key: read_setting(settings, key, float, base.get(key))
                    for key in ("alpha", "beta", "gamma")}

@@ -26,11 +26,8 @@ from neurosudoku.losses import (
     ablation_config,
     combined_loss,
     combined_loss_grad,
-    constraints_loss,
     constraints_loss_grad,
-    expert_loss,
     expert_loss_grad,
-    standard_loss,
     standard_loss_grad,
 )
 from neurosudoku.network import (
@@ -121,7 +118,7 @@ def test_criterion_2_gradient_correctness():
             parts = combined_loss(tensor, inst, all_combined)
             return np.array([
                 parts.standard,
-                constraints_loss(tensor, inst.puzzle, MODE_FIXED_TARGET),
+                constraints_loss_grad(tensor, inst.puzzle, MODE_FIXED_TARGET)[0],
                 parts.constraints,
                 parts.expert,
                 parts.combined,
@@ -163,16 +160,16 @@ def test_criterion_3_loss_identities():
     uniform = np.full((9, 9, 9), 1.0 / 9.0)
     truth = one_hot_tensor(solution)
 
-    std_uniform = standard_loss(uniform, solution)
+    std_uniform = standard_loss_grad(uniform, solution)[0]
     assert abs(std_uniform - math.log(9)) <= 1e-9
 
-    exp_uniform = expert_loss(uniform)
+    exp_uniform = expert_loss_grad(uniform)[0]
     assert abs(exp_uniform) <= 1e-9
 
-    cons_truth = constraints_loss(truth, inst.puzzle, MODE_SOLUTION_CONSISTENT)
+    cons_truth = constraints_loss_grad(truth, inst.puzzle, MODE_SOLUTION_CONSISTENT)[0]
     assert abs(cons_truth) <= 1e-9
 
-    cons_literal = constraints_loss(uniform, solution, MODE_FIXED_TARGET)
+    cons_literal = constraints_loss_grad(uniform, solution, MODE_FIXED_TARGET)[0]
     assert cons_literal == 243.0
 
     rng = np.random.default_rng(7)
@@ -181,9 +178,9 @@ def test_criterion_3_loss_identities():
     config = LossConfig(0.6, 1.7, 0.4)
     breakdown = combined_loss(tensor, inst, config)
     direct = (
-        config.alpha * standard_loss(tensor, inst.solution)
-        + config.beta * constraints_loss(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT)
-        + config.gamma * expert_loss(tensor)
+        config.alpha * standard_loss_grad(tensor, inst.solution)[0]
+        + config.beta * constraints_loss_grad(tensor, inst.puzzle, MODE_SOLUTION_CONSISTENT)[0]
+        + config.gamma * expert_loss_grad(tensor)[0]
     )
     assert abs(breakdown.combined - direct) <= 1e-9
 

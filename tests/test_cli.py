@@ -205,12 +205,14 @@ class TestTrainEval:
         ("eval", ("--seed", "-1"), "seed must be a non-negative integer, got -1"),
         ("train", ("--constraint-mode", "nope"), "unknown constraint mode: 'nope'"),
         ("eval", ("--ablation", "nope"), "unknown ablation label: 'nope'"),
+        ("train", ("--ablation", "nope"), "all-combined, or 'custom' with alpha, beta and gamma)"),
         ("eval", ("--postprocess-mode", "nope"), "unknown postprocess mode: 'nope'"),
         ("train", ("--ablation", "custom", "--alpha", "1"), "'custom' needs alpha, beta and gamma"),
     ], ids=["train-epochs-0", "train-negative-weight", "eval-folds-1", "eval-folds-above-size",
             "train-lr-negative", "train-lr-0", "eval-lr-nan", "eval-lr-inf",
             "train-weight-nan", "eval-weight-inf", "train-seed-negative", "eval-seed-negative",
-            "train-constraint-mode-nope", "eval-ablation-nope", "eval-postprocess-mode-nope",
+            "train-constraint-mode-nope", "eval-ablation-nope", "train-ablation-nope-names-custom",
+            "eval-postprocess-mode-nope",
             "train-custom-without-weights"])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
         data = tmp_path / "data.jsonl"
@@ -443,11 +445,13 @@ class TestTable1:
         (("--rows", "4:0.1", "--ablations", ""), "unknown ablation label: ''"),
         (("--rows", "4:0.1", "--ablations", "standard-only,nope"),
          "unknown ablation label: 'nope'"),
+        (("--rows", "4:0.1", "--ablations", "custom"), "unknown ablation label: 'custom' (choose "
+         "from standard-only, standard+expert, standard+constraints, all-combined)\n"),
         (("--rows", "4:0.1,12:1.5"), "difficulty must be in (0,1), got 1.5"),
         (("--rows", "4:0.1,4:0.1", "--seeds", "0,0", "--ablations", "standard-only,standard-only"),
          "the grid repeats row (4, 0.1)"),
         (("--rows", "4:0.1", "--seeds", "-1"), "seed must be a non-negative integer, got -1"),
-    ], ids=["rows-empty", "seeds-empty", "ablations-empty", "unknown-ablation",
+    ], ids=["rows-empty", "seeds-empty", "ablations-empty", "unknown-ablation", "custom-ablation",
             "difficulty-1.5", "repeated-cells", "negative-seed"])
     def test_empty_or_bad_grid_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
         out = tmp_path / "t1"

@@ -2,10 +2,12 @@
 writes the pinned bytes where ``DIGESTS`` holds their sha256.
 
 The digests were recorded with numpy 2.4.6 and its bundled OpenBLAS
-(scipy-openblas 0.3.31) on Python 3.11; training runs through BLAS, so
-another numpy or BLAS build may move demo 04's bytes.  A mismatch fails and
-names the output.  A change that moves an output on purpose updates its
-digest here and says why in ``CHANGES.md``.
+(scipy-openblas 0.3.31) on Python 3.11, on a CPU whose numpy dispatches to
+AVX-512.  Every digest here held under the AVX2-limited settings that
+``test_pinned_outputs.py`` names; demo 04 trains through BLAS, so another
+numpy or BLAS build may still move its bytes.  A mismatch fails and names
+the output.  A change that moves an output on purpose updates its digest
+here and says why in ``CHANGES.md``.
 """
 
 import contextlib

@@ -213,6 +213,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="0..9"):
             as_grid(g)
 
+    @pytest.mark.parametrize("shape", [(80,), (9, 8), (81, 1)], ids=["80", "9x8", "81x1"])
+    def test_as_grid_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="grid must be 9x9, got shape"):
+            as_grid(np.zeros(shape, dtype=int))
+
 
 class TestPuzzleInstance:
     def test_valid_instance_passes(self, solved_grid):

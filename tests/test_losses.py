@@ -15,11 +15,8 @@ from neurosudoku.losses import (
     ablation_config,
     combined_loss,
     combined_loss_grad,
-    constraints_loss,
     constraints_loss_grad,
-    expert_loss,
     expert_loss_grad,
-    standard_loss,
     standard_loss_grad,
 )
 
@@ -34,22 +31,24 @@ def random_tensor(rng):
 
 class TestStandardLoss:
     def test_one_hot_truth_is_zero(self, solved_grid):
-        assert standard_loss(one_hot_tensor(solved_grid), solved_grid) == pytest.approx(0.0, abs=1e-12)
+        loss, _ = standard_loss_grad(one_hot_tensor(solved_grid), solved_grid)
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_is_ln9(self, solved_grid, uniform_tensor):
-        assert standard_loss(uniform_tensor, solved_grid) == pytest.approx(math.log(9), abs=1e-9)
+        loss, _ = standard_loss_grad(uniform_tensor, solved_grid)
+        assert loss == pytest.approx(math.log(9), abs=1e-9)
 
     def test_half_probability_is_ln2(self, solved_grid):
         tensor = np.full((9, 9, 9), 0.5 / 8)
         for i in range(9):
             for j in range(9):
                 tensor[i, j, solved_grid[i, j] - 1] = 0.5
-        assert standard_loss(tensor, solved_grid) == pytest.approx(math.log(2), abs=1e-9)
+        assert standard_loss_grad(tensor, solved_grid)[0] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_zero_probability_is_clamped(self, solved_grid):
         tensor = one_hot_tensor(solved_grid)
         wrong = np.roll(tensor, 1, axis=2)  # true digit now has probability 0
-        loss = standard_loss(wrong, solved_grid)
+        loss = standard_loss_grad(wrong, solved_grid)[0]
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(1e-12), rel=1e-9)
 
@@ -57,24 +56,24 @@ class TestStandardLoss:
         rng = np.random.default_rng(0)
         for _ in range(10):
             tensor = random_tensor(rng)
-            assert standard_loss(tensor, solved_grid) == pytest.approx(
+            assert standard_loss_grad(tensor, solved_grid)[0] == pytest.approx(
                 standard_loss_slow(tensor, solved_grid), abs=1e-12
             )
 
 
 class TestConstraintsLoss:
     def test_fully_given_fixed_target_is_243(self, solved_grid, uniform_tensor):
-        assert constraints_loss(uniform_tensor, solved_grid, MODE_FIXED_TARGET) == 243.0
+        assert constraints_loss_grad(uniform_tensor, solved_grid, MODE_FIXED_TARGET)[0] == 243.0
 
     def test_one_hot_truth_scores_zero_solution_consistent(self, instance_03):
         tensor = one_hot_tensor(instance_03.solution)
-        loss = constraints_loss(tensor, instance_03.puzzle, MODE_SOLUTION_CONSISTENT)
+        loss = constraints_loss_grad(tensor, instance_03.puzzle, MODE_SOLUTION_CONSISTENT)[0]
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_one_hot_truth_nonzero_under_fixed_target(self, instance_03):
         # a digit already given in a unit makes that unit's target unreachable
         tensor = one_hot_tensor(instance_03.solution)
-        loss = constraints_loss(tensor, instance_03.puzzle, MODE_FIXED_TARGET)
+        loss = constraints_loss_grad(tensor, instance_03.puzzle, MODE_FIXED_TARGET)[0]
         assert loss > 1.0
 
     def test_uniform_three_empties_in_one_row_analytic(self, solved_grid):
@@ -88,7 +87,7 @@ class TestConstraintsLoss:
         mask[0, :3] = True
         givens = np.where(mask, 0, solved_grid)
         uniform = np.full((9, 9, 9), 1 / 9)
-        total = constraints_loss(uniform, givens, MODE_SOLUTION_CONSISTENT)
+        total = constraints_loss_grad(uniform, givens, MODE_SOLUTION_CONSISTENT)[0]
         expected = 2.0 + 3 * (8 / 9) + 2.0
         assert total == pytest.approx(expected, abs=1e-9)
         assert total == pytest.approx(
@@ -101,24 +100,28 @@ class TestConstraintsLoss:
         for mode in (MODE_FIXED_TARGET, MODE_SOLUTION_CONSISTENT):
             for _ in range(20):
                 tensor = random_tensor(rng)
-                fast = constraints_loss(tensor, instance_03.puzzle, mode)
+                fast = constraints_loss_grad(tensor, instance_03.puzzle, mode)[0]
                 slow = constraints_loss_slow(tensor, instance_03.mask, instance_03.puzzle, mode)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
     def test_nonnegative(self, instance_03):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            assert constraints_loss(random_tensor(rng), instance_03.puzzle) >= 0
+            assert constraints_loss_grad(random_tensor(rng), instance_03.puzzle)[0] >= 0
+
+    def test_unknown_mode_rejected(self, solved_grid, uniform_tensor):
+        with pytest.raises(ValueError, match="unknown constraint mode: 'nope'"):
+            constraints_loss_grad(uniform_tensor, solved_grid, "nope")
 
 
 class TestExpertLoss:
     def test_one_hot_truth_is_zero(self, solved_grid):
-        assert expert_loss(one_hot_tensor(solved_grid)) == pytest.approx(0.0, abs=1e-12)
+        assert expert_loss_grad(one_hot_tensor(solved_grid))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_is_zero(self, solved_grid, uniform_tensor):
         # every cell expectation is 5, every unit sum 45: the expert loss
         # alone cannot distinguish the uniform prediction from the truth
-        assert expert_loss(uniform_tensor) == pytest.approx(0.0, abs=1e-9)
+        assert expert_loss_grad(uniform_tensor)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_single_cell_shift_costs_three(self, solved_grid):
         tensor = one_hot_tensor(solved_grid)
@@ -126,13 +129,13 @@ class TestExpertLoss:
         shifted_to = d + 1 if d < 9 else d - 1
         tensor[0, 0, d - 1] = 0.0
         tensor[0, 0, shifted_to - 1] = 1.0
-        assert expert_loss(tensor) == pytest.approx(3.0, abs=1e-9)
+        assert expert_loss_grad(tensor)[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_matches_slow_oracle(self, solved_grid):
         rng = np.random.default_rng(3)
         for _ in range(10):
             tensor = random_tensor(rng)
-            assert expert_loss(tensor) == pytest.approx(
+            assert expert_loss_grad(tensor)[0] == pytest.approx(
                 expert_loss_slow(tensor, solved_grid), abs=1e-9
             )
 
@@ -144,11 +147,11 @@ class TestCombinedLoss:
         config = ablation_config("standard-only")
         breakdown = combined_loss(tensor, instance_03, config)
         assert breakdown.combined == pytest.approx(
-            standard_loss(tensor, instance_03.solution), abs=1e-12
+            standard_loss_grad(tensor, instance_03.solution)[0], abs=1e-12
         )
         # the validation loss measures the unweighted components too
-        assert breakdown.constraints == constraints_loss(tensor, instance_03.puzzle)
-        assert breakdown.expert == expert_loss(tensor) > 0.0
+        assert breakdown.constraints == constraints_loss_grad(tensor, instance_03.puzzle)[0]
+        assert breakdown.expert == expert_loss_grad(tensor)[0] > 0.0
         # the training step skips them
         trained, _ = combined_loss_grad(tensor, instance_03, config)
         assert (trained.constraints, trained.expert) == (0.0, 0.0)
@@ -279,7 +282,7 @@ class TestTensorGradients:
     def test_standard_grad(self, instance_03):
         tensor = random_tensor(np.random.default_rng(6))
         _, grad = standard_loss_grad(tensor, instance_03.solution)
-        fd, idx = self.tensor_fd(lambda t: standard_loss(t, instance_03.solution), tensor)
+        fd, idx = self.tensor_fd(lambda t: standard_loss_grad(t, instance_03.solution)[0], tensor)
         flat_a, flat_fd = grad.reshape(-1), fd.reshape(-1)
         for i in idx:
             assert flat_a[i] == pytest.approx(flat_fd[i], rel=1e-4, abs=1e-6)
@@ -289,7 +292,7 @@ class TestTensorGradients:
             tensor = random_tensor(np.random.default_rng(7))
             _, grad = constraints_loss_grad(tensor, instance_03.puzzle, mode)
             fd, idx = self.tensor_fd(
-                lambda t: constraints_loss(t, instance_03.puzzle, mode),
+                lambda t: constraints_loss_grad(t, instance_03.puzzle, mode)[0],
                 tensor,
             )
             flat_a, flat_fd = grad.reshape(-1), fd.reshape(-1)
@@ -299,7 +302,7 @@ class TestTensorGradients:
     def test_expert_grad(self, instance_03):
         tensor = random_tensor(np.random.default_rng(8))
         _, grad = expert_loss_grad(tensor)
-        fd, idx = self.tensor_fd(expert_loss, tensor)
+        fd, idx = self.tensor_fd(lambda t: expert_loss_grad(t)[0], tensor)
         flat_a, flat_fd = grad.reshape(-1), fd.reshape(-1)
         for i in idx:
             assert flat_a[i] == pytest.approx(flat_fd[i], rel=1e-4, abs=1e-6)

@@ -74,6 +74,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             p.b1 = np.ones(3)
 
+    @pytest.mark.parametrize("data", [np.zeros(N_PARAMS - 1), np.zeros(N_PARAMS, np.float32)],
+                             ids=["short", "float32"])
+    def test_bad_buffer_rejected(self, data):
+        with pytest.raises(ValueError, match="parameter buffer must be float64"):
+            ModelParams(data)
+
     @pytest.mark.parametrize("duplicate", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_copy_views_write_into_its_own_buffer(self, duplicate):
@@ -135,7 +141,11 @@ class TestForward:
 
     def test_overflow_reported_with_layer(self):
         p = init_params(0)
-        p.W1 = p.W1 * 1e308
+        p.W1 = p.W1 * 1e200  # finite pre-activations near 1e200
+        p.W2 = p.W2 * 1e200
+        with pytest.raises(NumericOverflowError, match="output layer"):
+            forward(p, np.ones(81))
+        p.W1 = p.W1 * 1e108
         with pytest.raises(NumericOverflowError, match="hidden layer"):
             forward(p, np.ones(81))
 
@@ -143,9 +153,7 @@ class TestForward:
         x = encode_input(solved_grid)
         _, cache = forward(init_params(1), x)
         assert (cache.x == x).all()
-        assert cache.pre_hidden.shape == (HIDDEN_UNITS,)
         assert cache.hidden.shape == (HIDDEN_UNITS,)
-        assert cache.logits.shape == (N_LOGITS,)
         assert (cache.hidden >= 0).all()
 
     def test_deterministic(self, solved_grid):
@@ -190,7 +198,8 @@ class TestDecodePrediction:
         p = init_params(seed % 7)
         x = rng.uniform(0, 1, 81)
         _, cache = forward(p, x)
-        shifted = cache.logits.reshape(81, 9) + rng.uniform(-5, 5, (81, 1))
+        logits = p.W2 @ cache.hidden + p.b2
+        shifted = logits.reshape(81, 9) + rng.uniform(-5, 5, (81, 1))
         z = shifted - shifted.max(axis=1, keepdims=True)
         e = np.exp(z)
         shifted_tensor = (e / e.sum(axis=1, keepdims=True)).reshape(9, 9, 9)
@@ -436,9 +445,12 @@ class TestBackwardQuick:
         tensor, cache = forward(params, encode_input(inst.puzzle))
         _, d_tensor = combined_loss_grad(tensor, inst, ablation_config("all-combined"))
         grads = backward(params, cache, d_tensor)
-        assert (cache.hidden == 0).any()  # relu zeros: products of either sign of zero
-        # == counts -0 and +0 as equal; the b2 gradient is the logits' gradient
+        # relu zeros and empty cells: products of either sign of zero
+        assert (cache.hidden == 0).any() and (cache.x == 0).any()
+        # == counts -0 and +0 as equal; the b2 and b1 gradients are the
+        # logits' and the pre-activations' gradients
         assert (grads.W2 == np.outer(grads.b2, cache.hidden)).all()
+        assert (grads.W1 == np.outer(grads.b1, cache.x)).all()
 
     def test_out_buffer_is_filled_and_returned(self):
         inst = mask_puzzle(generate_solved(2), 0.3, 2)

@@ -766,6 +766,13 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="'custom' needs alpha, beta and gamma"):
             TrainConfig.from_dict({"ablation": "custom", "alpha": 1, "beta": 1})
 
+    def test_unknown_label_names_custom(self):
+        # the config key's reader takes "custom" too, unlike ablation_config and run_grid
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown ablation label: 'nope' (choose from standard-only, standard+expert, "
+                "standard+constraints, all-combined, or 'custom' with alpha, beta and gamma)")):
+            TrainConfig.from_dict({"ablation": "nope"})
+
     def test_round_trip(self):
         config = TrainConfig(
             epochs=50, folds=4, seed=9,
