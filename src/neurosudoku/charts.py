@@ -187,23 +187,25 @@ def comparison_chart(title: str, group_labels, series) -> str:
     return "\n".join(parts)
 
 
-def grid_charts(rows, ablations):
+def grid_charts(rows):
     """Yield (n_puzzles, svg): one accuracy-vs-difficulty chart per puzzle
     count of ``ExperimentResult.csv_rows`` rows, each series an ablation's mean
     6-decimal ``acc_all`` over seeds and folds (failed cells left out, 0 if
-    none is left)."""
+    none is left).  The series follow the ablations' first appearance in
+    ``rows``, failed cells' rows included."""
     acc = {}
     for row in rows:
         if row["fold"] != -1:
             key = (row["n_puzzles"], row["ablation"], row["difficulty"])
             acc.setdefault(key, []).append(float(row["acc_all"]))
     cells = {(row["n_puzzles"], row["difficulty"]) for row in rows}
+    labels = list(dict.fromkeys(row["ablation"] for row in rows))
     for n in sorted({n for n, _ in cells}):
         difficulties = sorted(d for nn, d in cells if nn == n)
         series = [
             (label, [sum(v) / len(v) if (v := acc.get((n, label, d))) else 0.0
                      for d in difficulties])
-            for label in ablations
+            for label in labels
         ]
         yield n, comparison_chart(
             f"accuracy vs difficulty ({n} puzzles, mean over seeds x folds)",

@@ -139,7 +139,7 @@ def cmd_table1(args, settings: dict) -> int:
     csv_path = os.path.join(args.out, "table1.csv")
     training.write_results_csv(all_rows, csv_path)
     print(f"results: {csv_path}")
-    for n, svg in charts.grid_charts(all_rows, ablations):
+    for n, svg in charts.grid_charts(all_rows):
         svg_path = os.path.join(args.out, f"accuracy_{n}.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)

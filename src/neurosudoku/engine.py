@@ -352,7 +352,7 @@ def mask_puzzle(
                 solution=solved,
                 difficulty=difficulty,
                 seed=seed,
-            ).validate()
+            )
     raise UniquenessError(
         f"uniqueness unattainable at difficulty {difficulty} "
         f"within {MASK_RETRY_BUDGET} redrawn masks"

@@ -1,8 +1,9 @@
 """Board representation, Sudoku validity predicates, and accuracy metrics.
 
 A grid is a 9x9 integer matrix (numpy array, row-major) with 0 marking an
-empty cell and 1..9 a placed digit.  All functions here are pure and safe
-to call concurrently.
+empty cell and 1..9 a placed digit; ``as_grid`` takes that one shape only.
+A ``PuzzleInstance`` checks itself when it is made, so every instance holds
+its invariants.  All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ CELL_UNITS = np.nonzero(INCIDENCE.T)[1].reshape(N_CELLS, 3)
 def as_grid(cells) -> np.ndarray:
     """Coerce to a validated 9x9 integer grid (values 0..9)."""
     grid = np.asarray(cells, dtype=np.int64)
-    if grid.shape == (N_CELLS,):
-        grid = grid.reshape(GRID_SIZE, GRID_SIZE)
     if grid.shape != (GRID_SIZE, GRID_SIZE):
         raise ValueError(f"grid must be 9x9, got shape {grid.shape}")
     if grid.min() < 0 or grid.max() > 9:
@@ -116,9 +115,10 @@ def check_seed(seed) -> int:
 class PuzzleInstance:
     """One dataset unit: masked puzzle, reference solution, provenance.
 
-    Invariants (see ``validate``): the puzzle is the solution with exactly
-    round(81*difficulty) cells zeroed, and the seed is a non-negative
-    integer.  ``mask`` is true on those cells.
+    Invariants, checked when the instance is made (ValueError otherwise):
+    the puzzle is the solution with exactly round(81*difficulty) cells
+    zeroed, and the seed is a non-negative integer.  ``mask`` is true on
+    those cells.
     """
 
     puzzle: np.ndarray
@@ -130,7 +130,7 @@ class PuzzleInstance:
     def mask(self) -> np.ndarray:
         return self.puzzle == 0
 
-    def validate(self) -> "PuzzleInstance":
+    def __post_init__(self):
         check_seed(self.seed)
         puzzle, _ = as_completion(self.puzzle, self.solution)
         n_masked = int((puzzle == 0).sum())
@@ -139,7 +139,6 @@ class PuzzleInstance:
             raise ValueError(
                 f"mask count {n_masked} != expected {expected} at difficulty {self.difficulty}"
             )
-        return self
 
 
 def parse_grid(text: str) -> np.ndarray:

@@ -2,16 +2,18 @@
 
 Three components, each one ``*_loss_grad`` that returns (value, gradient):
 
-* standard: mean per-cell cross-entropy against the true solution.
+* standard: mean per-cell cross-entropy against the true solution.  The
+  target is a 9x9 grid (``as_grid``) with no empty cell.
 * constraints: for every digit and every unit (row/column/box), the squared
   gap between a target count and the predicted probability mass that the
   puzzle's *empty* cells put on that digit in that unit.  The hard
   "cell equals digit" indicator is relaxed to the predicted probability, so
   the penalty agrees with the exact counting rule whenever the prediction
-  is one-hot.
+  is one-hot.  The givens are a 9x9 grid (``as_grid``), read once for both
+  the empty cells and the target counts.
 * expert: per-cell expected digit value (sum of digit * probability), then
   the absolute gap between each of the 27 predicted unit sums and 45, the
-  sum of every unit of a valid solution.
+  sum of every unit of a valid solution.  It reads no grid.
 
 Constraint target modes:
 
@@ -97,8 +99,11 @@ def ablation_config(label: str, constraint_mode: str = MODE_SOLUTION_CONSISTENT)
 
 
 def standard_loss_grad(pred: np.ndarray, target):
-    """(value, gradient) of the mean over the 81 cells of -log(p(true digit))."""
+    """(value, gradient) of the mean over the 81 cells of -log(p(true digit));
+    ValueError for a target with an empty cell."""
     target = as_grid(target)
+    if not target.all():
+        raise ValueError("standard loss target has an empty cell")
     rows = np.arange(GRID_SIZE)[:, None]
     cols = np.arange(GRID_SIZE)[None, :]
     p_true = pred[rows, cols, target - 1]
@@ -110,22 +115,23 @@ def standard_loss_grad(pred: np.ndarray, target):
     return loss, d_pred
 
 
-def constraint_targets(givens, mode: str) -> np.ndarray:
-    """Per-(unit, digit) target counts (27, 9) for the constraint penalty."""
+def _constraint_targets(cells: np.ndarray, mode: str) -> np.ndarray:
+    """Per-(unit, digit) target counts (27, 9) for the constraint penalty,
+    from the givens as an (81, 1) column."""
     if mode == MODE_FIXED_TARGET:
         return np.ones((len(UNITS), GRID_SIZE))
     if mode == MODE_SOLUTION_CONSISTENT:
-        onehot = (as_grid(givens).reshape(N_CELLS, 1) == DIGITS).astype(np.float64)
-        return np.maximum(0.0, 1.0 - INCIDENCE @ onehot)
+        return np.maximum(0.0, 1.0 - INCIDENCE @ (cells == DIGITS).astype(np.float64))
     raise ValueError(f"unknown constraint mode: {mode!r}")
 
 
 def constraints_loss_grad(pred: np.ndarray, givens, mode: str = MODE_SOLUTION_CONSISTENT):
     """(value, gradient) of the squared target-count gaps of per-unit digit
     mass over the empty cells of ``givens``."""
-    m = (np.asarray(givens).reshape(N_CELLS, 1) == 0).astype(np.float64)
+    cells = as_grid(givens).reshape(N_CELLS, 1)
+    m = (cells == 0).astype(np.float64)
     mass = INCIDENCE @ (pred.reshape(N_CELLS, GRID_SIZE) * m)  # (27, 9) per unit and digit
-    residual = constraint_targets(givens, mode) - mass
+    residual = _constraint_targets(cells, mode) - mass
     d_pred = -2.0 * (INCIDENCE.T @ residual) * m
     return float((residual ** 2).sum()), d_pred.reshape(pred.shape)
 

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -224,8 +224,8 @@ def build_dataset(n_puzzles: int, difficulty: float, seed: int):
 
     Instance k derives from seed+k for both generation and masking, so the
     dataset is a pure function of (n_puzzles, difficulty, seed).  Each
-    instance comes out of ``PuzzleInstance.validate``, which proves that its
-    stored solution is a valid completion of its givens.
+    ``PuzzleInstance`` checks when it is made that its stored solution is a
+    valid completion of its givens.
     """
     if n_puzzles < 1:
         raise ValueError("n_puzzles must be >= 1")
@@ -263,7 +263,7 @@ def _parse_record(line: str) -> PuzzleInstance:
         solution=parse_grid(read_setting(rec, "solution", str, None)),
         difficulty=read_setting(rec, "difficulty", float, None),
         seed=read_setting(rec, "seed", int, None),
-    ).validate()
+    )
 
 
 def load_dataset(path):
@@ -429,20 +429,8 @@ def kfold_evaluate(dataset, config: TrainConfig) -> ExperimentResult:
     return ExperimentResult(len(dataset), difficulty, config, folds, dataset_fingerprint(dataset))
 
 
-CSV_COLUMNS = [
-    "n_puzzles",
-    "difficulty",
-    "ablation",
-    "fold",
-    "acc_all",
-    "acc_empty",
-    "loss_standard",
-    "loss_constraints",
-    "loss_expert",
-    "loss_combined",
-    "epochs",
-    "seed",
-]
+CSV_COLUMNS = ["n_puzzles", "difficulty", "ablation", "fold", "acc_all", "acc_empty",
+               *(f"loss_{part.name}" for part in fields(LossBreakdown)), "epochs", "seed"]
 
 
 def run_grid(rows, seeds, ablations, run: TrainConfig):

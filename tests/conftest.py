@@ -3,10 +3,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from neurosudoku.engine import generate_solved, mask_puzzle
+
+# Every property test runs without a per-example deadline: an example's time
+# follows the machine's load, not the code under test.
+settings.register_profile("neurosudoku", deadline=None)
+settings.load_profile("neurosudoku")
 
 
 @pytest.fixture

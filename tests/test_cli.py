@@ -55,6 +55,14 @@ def test_import_loads_no_process_pool():
 
 
 @pytest.fixture
+def data(tmp_path):
+    """A dataset file that ``gen`` wrote: 4 puzzles at difficulty 0.1."""
+    path = tmp_path / "data.jsonl"
+    assert run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(path)) == 0
+    return path
+
+
+@pytest.fixture
 def model_file(tmp_path):
     path = tmp_path / "model.json"
     save_params(init_params(0), path, seed=0)
@@ -78,7 +86,7 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # the rule lives in PuzzleInstance.validate, which every instance passes
+        # the rule lives in PuzzleInstance, which checks itself when it is made
         out = tmp_path / "d.jsonl"
         assert run_cli("gen", "--n", "2", "--seed", "-1", "--data-out", str(out)) == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
@@ -107,10 +115,8 @@ class TestGen:
 
 
 class TestTrainEval:
-    def test_train_writes_checkpoint(self, tmp_path):
-        data = tmp_path / "data.jsonl"
+    def test_train_writes_checkpoint(self, tmp_path, data):
         model = tmp_path / "model.json"
-        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
         code = run_cli("train", "--data", str(data), "--model-out", str(model),
                        "--epochs", "2", "--ablation", "standard-only")
         assert code == 0
@@ -118,10 +124,8 @@ class TestTrainEval:
         payload = json.loads(model.read_text())
         assert payload["version"] == 1
 
-    def test_eval_writes_results_csv(self, tmp_path):
-        data = tmp_path / "data.jsonl"
+    def test_eval_writes_results_csv(self, tmp_path, data):
         out_csv = tmp_path / "results.csv"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         code = run_cli("eval", "--data", str(data), "--csv-out", str(out_csv),
                        "--epochs", "1", "--folds", "2")
         assert code == 0
@@ -130,14 +134,12 @@ class TestTrainEval:
             assert reader.fieldnames == CSV_COLUMNS
             assert len(list(reader)) == 2
 
-    def test_config_file_supplies_defaults(self, tmp_path):
-        data = tmp_path / "data.jsonl"
+    def test_config_file_supplies_defaults(self, tmp_path, data):
         cfg = tmp_path / "config.json"
         out_csv = tmp_path / "r.csv"
         cfg.write_text(json.dumps({
             "epochs": 1, "folds": 2, "ablation": "standard-only", "seed": 3,
         }))
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         code = run_cli("--config", str(cfg), "eval", "--data", str(data),
                        "--csv-out", str(out_csv))
         assert code == 0
@@ -151,10 +153,8 @@ class TestTrainEval:
         (("--ablation", "standard-only", "--gamma", "1"), "standard+expert"),
         (("--beta", "0.3"), "custom"),
     ])
-    def test_label_is_derived_from_the_weights(self, tmp_path, flags, label):
-        data = tmp_path / "data.jsonl"
+    def test_label_is_derived_from_the_weights(self, tmp_path, data, flags, label):
         out_csv = tmp_path / "r.csv"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         assert run_cli("eval", "--data", str(data), "--csv-out", str(out_csv),
                        "--epochs", "1", "--folds", "2", *flags) == 0
         assert {r["ablation"] for r in csv.DictReader(open(out_csv))} == {label}
@@ -165,12 +165,10 @@ class TestTrainEval:
         TrainConfig(epochs=1, folds=5, postprocess_mode="hybrid-complete",
                     loss=ablation_config("standard+expert")),
     ], ids=["custom", "ablation"])
-    def test_to_dict_as_config_file_runs_train(self, tmp_path, config):
-        data = tmp_path / "data.jsonl"
+    def test_to_dict_as_config_file_runs_train(self, tmp_path, data, config):
         cfg = tmp_path / "config.json"
         model = tmp_path / "model.json"
         cfg.write_text(json.dumps(config.to_dict()))
-        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
         assert run_cli("--config", str(cfg), "train", "--data", str(data),
                        "--model-out", str(model)) == 0
         params, seed = load_params(model)
@@ -178,11 +176,9 @@ class TestTrainEval:
         assert seed == config.seed
         assert np.array_equal(params.data, expected.data)
 
-    def test_unknown_config_keys_exit_2(self, tmp_path, capsys):
-        data = tmp_path / "data.jsonl"
+    def test_unknown_config_keys_exit_2(self, tmp_path, data, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"epoch": 1, "mean_batch": True, "ablation": "standard-only"}))
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         code = run_cli("--config", str(cfg), "train", "--data", str(data),
                        "--model-out", str(tmp_path / "model.json"))
         assert code == 2
@@ -214,10 +210,8 @@ class TestTrainEval:
             "train-constraint-mode-nope", "eval-ablation-nope", "train-ablation-nope-names-custom",
             "eval-postprocess-mode-nope",
             "train-custom-without-weights"])
-    def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, command, flags, message):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
-        capsys.readouterr()
+    def test_bad_settings_exit_2_before_any_work(self, tmp_path, data, capsys, command, flags,
+                                                 message):
         out = tmp_path / "result"
         flag = "--model-out" if command == "train" else "--csv-out"
         assert run_cli(command, "--data", str(data), flag, str(out), *flags) == 2
@@ -230,10 +224,8 @@ class TestTrainEval:
         ("eval", "--postprocess-mode", "postprocess_mode"),
         ("solve", "--postprocess-mode", "postprocess_mode"),
     ])
-    def test_flag_and_config_key_give_the_same_error(self, tmp_path, capsys, model_file,
+    def test_flag_and_config_key_give_the_same_error(self, tmp_path, data, capsys, model_file,
                                                      command, flag, key):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({key: "nope"}))
         out = tmp_path / "out"
@@ -242,7 +234,6 @@ class TestTrainEval:
             "eval": ["eval", "--data", str(data), "--csv-out", str(out)],
             "solve": ["solve", "--model", model_file, "." * 81],
         }[command]
-        capsys.readouterr()
         errors = []
         for extra in ([flag, "nope"], ["--config", str(cfg)]):
             assert run_cli(*argv, *extra) == 2
@@ -252,10 +243,8 @@ class TestTrainEval:
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: unknown ") and "'nope'" in errors[0]
 
-    def test_custom_ablation_flag_matches_the_config_file(self, tmp_path):
-        data = tmp_path / "data.jsonl"
+    def test_custom_ablation_flag_matches_the_config_file(self, tmp_path, data):
         cfg = tmp_path / "config.json"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         cfg.write_text(json.dumps({"ablation": "custom", "alpha": 1, "beta": 0.5, "gamma": 0}))
         by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
         common = ["eval", "--data", str(data), "--epochs", "1", "--folds", "2"]
@@ -274,13 +263,10 @@ class TestTrainEval:
         b"\xff{}",
     ], ids=["82-characters", "list", "string", "puzzle-number", "solution-null", "not-utf-8"])
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_malformed_dataset_record_exits_2(self, tmp_path, capsys, command, record):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
+    def test_malformed_dataset_record_exits_2(self, tmp_path, data, capsys, command, record):
         lines = data.read_bytes().splitlines()
         lines[1] = record if isinstance(record, bytes) else json.dumps(record).encode()
         data.write_bytes(b"\n".join(lines) + b"\n")
-        capsys.readouterr()
         out = tmp_path / "result"
         flags = {"train": ["--model-out", str(out)],
                  "eval": ["--csv-out", str(out), "--folds", "2"]}[command]
@@ -297,9 +283,7 @@ class TestTrainEval:
     ], ids=["difficulty-inf", "difficulty-1e400", "difficulty-minus-inf", "difficulty-nan",
             "difficulty-huge-integer", "difficulty-string", "seed-1e400", "seed-1.5",
             "seed-true", "seed-negative"])
-    def test_bad_dataset_number_exits_2(self, tmp_path, capsys, key, value):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "3", "--difficulty", "0.1", "--data-out", str(data))
+    def test_bad_dataset_number_exits_2(self, tmp_path, data, capsys, key, value):
         lines = data.read_text().splitlines()
         lines[1] = json.dumps({**json.loads(lines[1]), key: None}).replace("null", value)
         data.write_text("\n".join(lines) + "\n")
@@ -338,25 +322,21 @@ class TestTrainEval:
         assert "dataset needs one difficulty, has [0.1, 0.8]" in capsys.readouterr().err
         assert trained == [] and not out.exists()
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+    def test_runtime_failure_exits_1(self, tmp_path, data, capsys, monkeypatch):
         from neurosudoku import training
         from neurosudoku.network import NumericOverflowError
 
         def overflow(dataset, config, init_seed):
             raise NumericOverflowError("numeric overflow in the hidden layer")
 
-        data = tmp_path / "data.jsonl"
         model = tmp_path / "model.json"
-        run_cli("gen", "--n", "2", "--difficulty", "0.1", "--data-out", str(data))
         monkeypatch.setattr(training, "train", overflow)
         assert run_cli("train", "--data", str(data), "--model-out", str(model)) == 1
         assert "NumericOverflowError: numeric overflow" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_diverging_run_exits_1_with_one_line(self, tmp_path):
+    def test_diverging_run_exits_1_with_one_line(self, tmp_path, data):
         # a fresh interpreter, whose default filters would print each numpy warning
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "2", "--data-out", str(data))
         proc = fresh_python("-m", "neurosudoku.cli", "train", "--data", str(data), "--epochs", "2",
                             "--alpha", "1e308", "--beta", "1e308", "--gamma", "1e308",
                             "--model-out", str(tmp_path / "model.json"))
@@ -366,11 +346,8 @@ class TestTrainEval:
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_overflowing_loss_exits_1_and_writes_nothing(self, tmp_path, capsys, command):
+    def test_overflowing_loss_exits_1_and_writes_nothing(self, tmp_path, data, capsys, command):
         # one weight of 1e308 keeps the gradient finite but makes the loss inf
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "4", "--data-out", str(data))
-        capsys.readouterr()
         out = tmp_path / "result"
         flags = {"train": ["--model-out", str(out)],
                  "eval": ["--csv-out", str(out), "--folds", "2"]}[command]
@@ -564,10 +541,8 @@ class TestSettingTypes:
         ("eval", "postprocess_mode", 1),
         ("solve", "postprocess_mode", None),
     ])
-    def test_wrong_type_exits_2_and_names_the_key(self, tmp_path, capsys, model_file,
+    def test_wrong_type_exits_2_and_names_the_key(self, tmp_path, data, capsys, model_file,
                                                   command, key, value):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "out"
@@ -577,7 +552,6 @@ class TestSettingTypes:
             "eval": ["eval", "--data", str(data), "--csv-out", str(out)],
             "solve": ["solve", "--model", model_file, "." * 81],
         }[command]
-        capsys.readouterr()
         assert run_cli("--config", str(cfg), *argv) == 2
         captured = capsys.readouterr()
         assert key in captured.err
@@ -727,11 +701,8 @@ class TestFileErrors:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_exits_1_with_one_line_naming_the_path(self, tmp_path, capsys, model_file,
+    def test_exits_1_with_one_line_naming_the_path(self, tmp_path, data, capsys, model_file,
                                                    solved_grid, case):
-        data = tmp_path / "data.jsonl"
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(data))
-        capsys.readouterr()
         paths = dict(missing=tmp_path / "missing-dir", data=data, model=model_file,
                      solution=format_grid(solved_grid))
         argv = [arg.format(**paths) for arg in self.CASES[case]]
@@ -770,10 +741,9 @@ class TestFlags:
     ]
 
     @pytest.fixture
-    def workdir(self, tmp_path, monkeypatch, model_file):
+    def workdir(self, tmp_path, monkeypatch, model_file, data):
         """A directory holding a dataset, a model and a config file, made the cwd,
         so every command's default outputs would land in it."""
-        run_cli("gen", "--n", "4", "--difficulty", "0.1", "--data-out", str(tmp_path / "data.jsonl"))
         (tmp_path / "config.json").write_text("{}")
         monkeypatch.chdir(tmp_path)
         return tmp_path
@@ -915,7 +885,7 @@ class TestCharts:
             row(12, 0.8, "all-combined", 0, "0.234568"),
         ]
         digests = {n: hashlib.sha256(svg.encode("utf-8")).hexdigest()
-                   for n, svg in grid_charts(rows, ABLATIONS)}
+                   for n, svg in grid_charts(rows)}
         assert digests == {
             4: "866f73d5a701784b038cd11b9dc3f14ba4b89dbb3c5cabde3eda03121d539e13",
             12: "3179bf73df845a315f2021b21dc4a9660b952a987a8eed5ecca29ff0c7c3c1ac",

@@ -180,7 +180,7 @@ def run_main(argv):
     return code, stderr.getvalue(), [str(w.message) for w in caught]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(command=st.sampled_from(sorted(ARGV)), argv_edits=ARGV_EDITS,
        alpha=st.sampled_from(["1", "1e308"]), table1_failure=st.sampled_from(TABLE1_FAILURES),
        record_edits=RECORD_EDITS, checkpoint_edits=CHECKPOINT_EDITS, config=CONFIG_FILES,

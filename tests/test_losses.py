@@ -60,6 +60,11 @@ class TestStandardLoss:
                 standard_loss_slow(tensor, solved_grid), abs=1e-12
             )
 
+    def test_target_with_an_empty_cell_rejected(self, instance_03):
+        # an empty cell would index digit 9 (0 - 1) and score it silently
+        with pytest.raises(ValueError, match="standard loss target has an empty cell"):
+            standard_loss_grad(one_hot_tensor(instance_03.solution), instance_03.puzzle)
+
 
 class TestConstraintsLoss:
     def test_fully_given_fixed_target_is_243(self, solved_grid, uniform_tensor):
@@ -112,6 +117,13 @@ class TestConstraintsLoss:
     def test_unknown_mode_rejected(self, solved_grid, uniform_tensor):
         with pytest.raises(ValueError, match="unknown constraint mode: 'nope'"):
             constraints_loss_grad(uniform_tensor, solved_grid, "nope")
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED_TARGET, MODE_SOLUTION_CONSISTENT])
+    def test_bad_givens_rejected_in_either_mode(self, instance_03, uniform_tensor, mode):
+        givens = instance_03.puzzle.copy()
+        givens[0, 0] = 12
+        with pytest.raises(ValueError, match="cell values must be in 0..9, found 12"):
+            constraints_loss_grad(uniform_tensor, givens, mode)
 
 
 class TestExpertLoss:
@@ -183,7 +195,7 @@ class TestCombinedLoss:
             0.7 * b.standard + 2.5 * b.constraints + 0.3 * b.expert, abs=1e-9
         )
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         alpha=st.floats(0.0, 3.0),
         beta=st.floats(0.0, 3.0),

@@ -165,7 +165,7 @@ class TestForward:
 
 
 class TestSoftmaxCells:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000), log_scale=st.integers(-3, 307))
     def test_bit_equal_to_the_row_max_form(self, seed, log_scale):
         rng = np.random.default_rng(seed)
@@ -191,7 +191,7 @@ class TestDecodePrediction:
         tensor[0, 0] = np.array([0.1, 0.7, 0.2, 0, 0, 0, 0, 0, 0])
         assert decode_prediction(tensor)[0, 0] == 2
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 10_000))
     def test_argmax_invariant_to_per_cell_logit_shift(self, seed):
         rng = np.random.default_rng(seed)
@@ -276,7 +276,7 @@ class TestAdam:
                                    atol=1e-12 * np.abs(expected[0]).max())
         assert (state.m == expected[1]).all() and (state.v == expected[2]).all()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         seed=st.integers(0, 2**32 - 1),
         log_scale=st.floats(-8.0, 2.0),
@@ -300,7 +300,7 @@ class TestAdam:
         assert state.v.tobytes() == ref_v.tobytes()
         np.testing.assert_allclose(p.data, ref_p, rtol=1e-9, atol=1e-9 * np.abs(ref_p).max())
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(index=st.integers(0, N_PARAMS - 1),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_gradient_writes_nothing(self, index, bad):
